@@ -2,17 +2,16 @@
 """Max-effort baseline sweep: social welfare and episode length against the
 equilibrium stock, for several population sizes.
 
-Writes baseline.csv (with welfare normalized per population) and prints the
-empirically found sustainable-harvesting limits next to the closed forms.
+Writes baseline.csv through ``fishcoop baseline`` (m_s from 0.2 to 1.3 in
+steps of 0.02) and prints the empirically found sustainable-harvesting
+limits next to the closed forms.
 """
 
 import argparse
-import csv
-from pathlib import Path
 
 import numpy as np
 
-from fishcoop import analytics, env
+from fishcoop import analytics, cli
 
 
 def main():
@@ -23,37 +22,20 @@ def main():
     parser.add_argument("--out", default="runs/baseline")
     args = parser.parse_args()
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
+    status = cli.main([
+        "baseline", "--agents", args.agents, "--growth-rate", str(args.growth_rate),
+        "--tmax", str(args.horizon), "--ms-step", "0.02", "--out", args.out,
+    ])
+    if status:
+        return status
     for n in (int(x) for x in args.agents.split(",")):
         k = analytics.k_constant(args.growth_rate)
-        welfare = []
-        block = []
-        for i in range(20, 131, 2):
-            m_s = 0.01 * i
-            s_eq = m_s * k * n
-            params = env.EnvParams(
-                n_agents=n, s_eq=s_eq, growth_rate=args.growth_rate,
-                max_steps=args.horizon,
-            )
-            res = analytics.max_effort_baseline(params, args.horizon)
-            welfare.append(res.social_welfare)
-            block.append([n, m_s, s_eq, res.length, res.social_welfare])
-        top = max(welfare)
-        rows += [b + [b[4] / top] for b in block]
-
         grid = np.array([0.01 * k * n * i for i in range(85, 111)])
         found = analytics.empirical_lsh(n, args.growth_rate, 1.0, args.horizon, grid)
         theory = analytics.limit_sustainable_harvesting(n, args.growth_rate, 1.0)
         print(f"N={n:3d}: empirical LSH {found:.4f} vs closed form {theory:.4f}")
-
-    with open(out / "baseline.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_agents", "m_s", "s_eq", "length", "social_welfare", "sw_normalized"])
-        writer.writerows(rows)
-    print(f"wrote {out / 'baseline.csv'}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

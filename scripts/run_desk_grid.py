@@ -10,15 +10,7 @@ thousands of episodes, 8 trials) use the same code path via the CLI.
 import argparse
 
 from fishcoop import harness
-from fishcoop.learner import PpoHyper
-
-DESK_HYPER = PpoHyper(
-    learning_rate=1e-3,
-    steps_per_update=400,
-    epochs_per_update=20,
-    minibatch_size=128,
-    kl_target=0.05,
-)
+from fishcoop.learner import DESK_HYPER
 
 
 def main():

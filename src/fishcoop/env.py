@@ -146,7 +146,7 @@ def step(
         raise ValueError(
             f"expected {params.n_agents} efforts, got shape {efforts.shape}"
         )
-    if np.any(efforts < 0) or np.any(efforts > params.e_max):
+    if not np.all((efforts >= 0) & (efforts <= params.e_max)):
         raise ValueError(f"efforts must lie in [0, {params.e_max}]: {efforts}")
 
     total_effort = float(efforts.sum())

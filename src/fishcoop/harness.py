@@ -16,7 +16,7 @@ import json
 import math
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -139,7 +139,6 @@ def run_episode(
                 trajectories[n].append(
                     info["obs"],
                     info["raw"],
-                    efforts[n],
                     info["log_prob"],
                     info["value"],
                     info["mean"],
@@ -357,19 +356,11 @@ def run_experiment(configs: list[ExperimentConfig]) -> ExperimentResult:
 
 
 def _baseline_cell(cell: CellResult, cells: list[CellResult]) -> CellResult | None:
-    """First cell with the same environment but no signal (G = 1)."""
-    cfg = cell.config
+    """First cell whose configuration differs from this one in the signal
+    alone, with no signal (G = 1)."""
+    unsignalled = replace(cell.config, signal_cardinality=1)
     for other in cells:
-        o = other.config
-        if (
-            o.signal_cardinality == 1
-            and o.n_agents == cfg.n_agents
-            and o.m_s == cfg.m_s
-            and o.growth_rate == cfg.growth_rate
-            and o.e_max == cfg.e_max
-            and o.trials == cfg.trials
-            and o.base_seed == cfg.base_seed
-        ):
+        if other.config == unsignalled:
             return other
     return None
 

@@ -14,6 +14,8 @@ bit-reproducible from the seeds alone.
 
 from __future__ import annotations
 
+import functools
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -47,66 +49,78 @@ class PpoHyper:
     steps_per_update: int = 4000
 
 
-@dataclass
+# Settings of the desk-scale experiments: the acceptance learning-trend check
+# and scripts/run_desk_grid.py train with these.
+DESK_HYPER = PpoHyper(
+    learning_rate=1e-3,
+    steps_per_update=400,
+    epochs_per_update=20,
+    minibatch_size=128,
+    kl_target=0.05,
+)
+
+
+@functools.cache
+def _layout(layer_sizes: tuple[int, int, int]) -> tuple[tuple, int]:
+    """(name, slice, shape) of each field in the flat parameter vector, in
+    serialization order, and the vector's length. Cached per layer sizes."""
+    d, h1, h2 = layer_sizes
+    shapes = {
+        "w1": (h1, d), "b1": (h1,), "w2": (h2, h1), "b2": (h2,),
+        "w_mean": (h2,), "b_mean": (), "w_value": (h2,), "b_value": (), "log_std": (),
+    }
+    fields, start = [], 0
+    for name, shape in shapes.items():
+        stop = start + math.prod(shape)
+        fields.append((name, slice(start, stop), shape))
+        start = stop
+    return tuple(fields), start
+
+
 class PolicyParams:
-    """Flat-serializable MLP weights. Layer sizes are (obs_dim, h1, h2)."""
+    """MLP weights held in one flat float64 vector, ``flat``. Layer sizes are
+    (obs_dim, h1, h2). Each named field is a view into ``flat`` (the scalars
+    ``b_mean``, ``b_value`` and ``log_std`` are 0-d views), and assigning a
+    field writes into ``flat``."""
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w_mean: np.ndarray
-    b_mean: float
-    w_value: np.ndarray
-    b_value: float
-    log_std: float
+    def __init__(self, w1, b1, w2, b2, w_mean, b_mean, w_value, b_value, log_std):
+        w1, w2 = np.asarray(w1), np.asarray(w2)
+        layer_sizes = (w1.shape[1], w1.shape[0], w2.shape[0])
+        self._bind(np.empty(_layout(layer_sizes)[1]), layer_sizes)
+        self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
+        self.w_mean, self.b_mean, self.w_value, self.b_value = w_mean, b_mean, w_value, b_value
+        self.log_std = log_std
 
-    @property
-    def obs_dim(self) -> int:
-        return self.w1.shape[1]
-
-    @property
-    def layer_sizes(self) -> tuple[int, int, int]:
-        return (self.w1.shape[1], self.w1.shape[0], self.w2.shape[0])
-
-    def to_flat(self) -> np.ndarray:
-        return np.concatenate(
-            [
-                self.w1.ravel(),
-                self.b1,
-                self.w2.ravel(),
-                self.b2,
-                self.w_mean,
-                [self.b_mean],
-                self.w_value,
-                [self.b_value],
-                [self.log_std],
-            ]
-        )
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, layer_sizes: tuple[int, int, int]) -> "PolicyParams":
-        d, h1, h2 = layer_sizes
-        sizes = [h1 * d, h1, h2 * h1, h2, h2, 1, h2, 1, 1]
-        if flat.size != sum(sizes):
+    def _bind(self, flat: np.ndarray, layer_sizes: tuple[int, int, int]) -> None:
+        layer_sizes = tuple(layer_sizes)
+        fields, size = _layout(layer_sizes)
+        if flat.shape != (size,):
             raise ValueError(
                 f"flat vector of size {flat.size} does not match layers {layer_sizes}"
             )
-        chunks = np.split(np.asarray(flat, dtype=float), np.cumsum(sizes)[:-1])
-        return cls(
-            w1=chunks[0].reshape(h1, d),
-            b1=chunks[1],
-            w2=chunks[2].reshape(h2, h1),
-            b2=chunks[3],
-            w_mean=chunks[4],
-            b_mean=float(chunks[5][0]),
-            w_value=chunks[6],
-            b_value=float(chunks[7][0]),
-            log_std=float(chunks[8][0]),
-        )
+        views = {name: flat[sl].reshape(shape) for name, sl, shape in fields}
+        self.__dict__.update(views, flat=flat, layer_sizes=layer_sizes)
+
+    def __setattr__(self, name, value):
+        getattr(self, name)[...] = value
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, layer_sizes: tuple[int, int, int]) -> "PolicyParams":
+        """Wrap ``flat`` without copying it (a contiguous float64 vector is
+        used as is, so the fields write through to it)."""
+        params = cls.__new__(cls)
+        params._bind(np.ascontiguousarray(flat, dtype=float), layer_sizes)
+        return params
+
+    @property
+    def obs_dim(self) -> int:
+        return self.layer_sizes[0]
+
+    def to_flat(self) -> np.ndarray:
+        return self.flat.copy()
 
     def all_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.to_flat())))
+        return bool(np.all(np.isfinite(self.flat)))
 
 
 def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
@@ -211,17 +225,15 @@ class Trajectory:
 
     obs: list = field(default_factory=list)
     raw_actions: list = field(default_factory=list)
-    efforts: list = field(default_factory=list)
     log_probs: list = field(default_factory=list)
     values: list = field(default_factory=list)
     means: list = field(default_factory=list)
     rewards: list = field(default_factory=list)
     dones: list = field(default_factory=list)
 
-    def append(self, obs, raw, effort, log_prob, value, mean, reward, done):
+    def append(self, obs, raw, log_prob, value, mean, reward, done):
         self.obs.append(obs)
         self.raw_actions.append(raw)
-        self.efforts.append(effort)
         self.log_probs.append(log_prob)
         self.values.append(value)
         self.means.append(mean)
@@ -256,7 +268,8 @@ def ppo_loss_and_grads(
     hyper: PpoHyper,
     e_max: float,
 ) -> tuple[float, PolicyParams, dict]:
-    """Total PPO loss and its analytic gradient (as a PolicyParams of grads).
+    """Total PPO loss and its analytic gradient (a PolicyParams of grads, so
+    ``grads.flat`` has the same layout as ``params.flat``).
 
     Loss = -mean(min(ratio*A, clip(ratio)*A))
            + vf_coeff * mean(min((V - R)^2, vf_clip))
@@ -327,7 +340,6 @@ def ppo_loss_and_grads(
 
 def _gaussian_kl(mean_old, std_old, mean_new, std_new) -> float:
     """Mean KL(old || new) of diagonal Gaussians over a batch."""
-    var_ratio = (std_old / std_new) ** 2
     kl = (
         np.log(std_new / std_old)
         + (std_old**2 + (mean_old - mean_new) ** 2) / (2.0 * std_new**2)
@@ -342,14 +354,15 @@ class AdamState:
         self.v = np.zeros_like(template)
         self.t = 0
 
-    def step(self, flat: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
+    def step(self, flat: np.ndarray, grad: np.ndarray, lr: float) -> None:
+        """Update ``flat`` in place."""
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         self.t += 1
         self.m = beta1 * self.m + (1.0 - beta1) * grad
         self.v = beta2 * self.v + (1.0 - beta2) * grad**2
         m_hat = self.m / (1.0 - beta1**self.t)
         v_hat = self.v / (1.0 - beta2**self.t)
-        return flat - lr * m_hat / (np.sqrt(v_hat) + eps)
+        flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def ppo_update(
@@ -363,6 +376,7 @@ def ppo_update(
     """One PPO update: Adam over shuffled minibatches for several epochs,
     early-stopping the epoch loop once the mean KL overshoots 1.5x the target.
     Advantages are normalized to zero mean / unit variance over the batch.
+    Works on a copy: the ``params`` passed in are never changed.
     """
     n = len(batch["obs"])
     if n == 0:
@@ -370,10 +384,9 @@ def ppo_update(
     adv = batch["advantages"]
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
-    layer_sizes = params.layer_sizes
-    flat = params.to_flat()
+    params = PolicyParams.from_flat(params.flat.copy(), params.layer_sizes)
     if adam is None:
-        adam = AdamState(flat)
+        adam = AdamState(params.flat)
 
     epochs_run = 0
     mean_kl = 0.0
@@ -392,14 +405,12 @@ def ppo_update(
                 hyper,
                 e_max,
             )
-            grad_flat = grads.to_flat()
-            if not np.all(np.isfinite(grad_flat)):
-                bad = int(np.sum(~np.isfinite(grad_flat)))
+            if not np.all(np.isfinite(grads.flat)):
+                bad = int(np.sum(~np.isfinite(grads.flat)))
                 raise UpdateDivergedError(
                     f"non-finite gradients in PPO update: {bad} entries, loss={loss}"
                 )
-            flat = adam.step(flat, grad_flat, hyper.learning_rate)
-            params = PolicyParams.from_flat(flat, layer_sizes)
+            adam.step(params.flat, grads.flat, hyper.learning_rate)
         epochs_run += 1
         new_mean, _, _, _ = _forward_batch(params, batch["obs"], e_max)
         mean_kl = _gaussian_kl(
@@ -466,12 +477,6 @@ class PpoAgent:
             "mean": mean,
         }
 
-    def sample_effort(self, obs: np.ndarray, rng: np.random.Generator | None = None) -> float:
-        """Sample a clipped effort for an externally assembled observation."""
-        mean, std, _ = policy_forward(self.params, np.asarray(obs, dtype=float), self.e_max)
-        _, effort, _ = sample_action(mean, std, self.e_max, rng if rng is not None else self.rng)
-        return effort
-
     def sample_efforts(
         self, obs: np.ndarray, n: int, rng: np.random.Generator | None = None
     ) -> np.ndarray:
@@ -507,7 +512,7 @@ def save_checkpoint(path, agents: list[PpoAgent]) -> None:
         fh.write(struct.pack("<IIII", CHECKPOINT_VERSION, g, len(agents), len(layer_sizes)))
         fh.write(struct.pack(f"<{len(layer_sizes)}I", *layer_sizes))
         for agent in agents:
-            fh.write(agent.params.to_flat().astype("<f8").tobytes())
+            fh.write(agent.params.flat.astype("<f8").tobytes())
 
 
 def load_checkpoint(
@@ -522,15 +527,14 @@ def load_checkpoint(
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         layer_sizes = struct.unpack(f"<{n_sizes}I", fh.read(4 * n_sizes))
-        d, h1, h2 = layer_sizes
-        flat_len = h1 * d + h1 + h2 * h1 + h2 + h2 + 1 + h2 + 1 + 1
+        _, flat_len = _layout(layer_sizes)
         agents = []
         for i in range(n_agents):
             raw = fh.read(8 * flat_len)
             if len(raw) != 8 * flat_len:
                 raise ValueError(f"truncated checkpoint: agent {i}")
             flat = np.frombuffer(raw, dtype="<f8").astype(float)
-            agent = PpoAgent(g, e_max, hyper, np.random.default_rng(0), hidden=(h1, h2))
-            agent.params = PolicyParams.from_flat(flat, (d, h1, h2))
+            agent = PpoAgent(g, e_max, hyper, np.random.default_rng(0), hidden=layer_sizes[1:])
+            agent.params = PolicyParams.from_flat(flat, layer_sizes)
             agents.append(agent)
     return agents

@@ -12,6 +12,7 @@ import pytest
 import scipy.stats
 
 from fishcoop import analytics, control, env, harness, learner, metrics
+from fishcoop.learner import DESK_HYPER
 
 E = math.e
 
@@ -199,15 +200,6 @@ def test_10_fairness_identities():
             metrics.gini_coefficient(x), rel=1e-9
         )
     report("10 fairness identities")
-
-
-DESK_HYPER = learner.PpoHyper(
-    learning_rate=1e-3,
-    steps_per_update=400,
-    epochs_per_update=20,
-    minibatch_size=128,
-    kl_target=0.05,
-)
 
 
 @pytest.mark.slow

@@ -132,6 +132,11 @@ class TestStep:
         with pytest.raises(ValueError):
             env.step(state, np.array([-0.1, 0.0]), p)
 
+    def test_nan_effort_rejected(self):
+        p = params()
+        with pytest.raises(ValueError):
+            env.step(env.reset(p), np.array([np.nan, 0.5]), p)
+
     def test_step_finished_episode(self):
         p = params(n=2, s_eq=1.0)
         state = env.reset(p)

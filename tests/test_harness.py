@@ -239,6 +239,15 @@ class TestExperimentAndSummary:
             if row["g"] == 2:
                 assert np.isfinite(row["sw_p_value"])
 
+    def test_cells_differing_beyond_the_signal_are_not_paired(self):
+        configs = [
+            tiny_config(signal_cardinality=1),
+            tiny_config(signal_cardinality=2, t_max=20),
+        ]
+        rows = harness.summarize(harness.run_experiment(configs))
+        signalled = [row for row in rows if row["g"] == 2]
+        assert len(signalled) == 1 and np.isnan(signalled[0]["sw_p_value"])
+
 
 class TestPersist:
     def test_layout_and_columns(self, tmp_path):

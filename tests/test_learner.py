@@ -204,7 +204,7 @@ class TestPpoUpdate:
         for t in range(steps):
             effort, info = agent.act(0.0, 0.0, source_vec)
             traj.append(
-                info["obs"], info["raw"], effort, info["log_prob"], info["value"],
+                info["obs"], info["raw"], info["log_prob"], info["value"],
                 info["mean"], reward_fn(effort), bandit or t == steps - 1,
             )
         return traj
