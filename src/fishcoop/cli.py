@@ -209,13 +209,16 @@ def _cmd_control(args) -> int:
     status = "converged" if sweep.converged else "NOT converged"
     print(f"sweep: objective={sweep.objective:.9g} ({status}, {sweep.iterations} iterations)")
     print("efforts:", " ".join(f"{e:g}" for e in sweep.efforts))
-    if args.horizon <= 16:
+    if args.horizon <= control.BRUTE_FORCE_MAX_HORIZON:
         schedule, objective = control.brute_force_optimal(params, args.horizon)
         gap = objective - sweep.objective
         print(f"brute force: objective={objective:.9g} (gap {gap:.3g})")
         print("efforts:", " ".join(f"{e:g}" for e in schedule))
+        if gap > 1e-9:
+            # the sweep only satisfies the maximum principle's necessary conditions
+            print(f"sweep is NOT optimal (gap {gap:.3g})")
     else:
-        print("brute force skipped (horizon > 16)")
+        print(f"brute force skipped (horizon > {control.BRUTE_FORCE_MAX_HORIZON})")
     return 0
 
 

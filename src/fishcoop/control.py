@@ -9,9 +9,10 @@ coordinates w (stock left after harvesting), the stage Hamiltonian
 is linear in the effort, so the maximizer switches between 0 and full
 effort on the sign of ``(p_k - lam_{k+1}) q(F(w_k))``. The adjoint sequence
 has no closed form; it is found by alternating forward state sweeps with
-backward adjoint sweeps, blending successive adjoint iterates. A brute-force
-enumeration over all bang-bang schedules serves as the ground-truth check
-for short horizons.
+backward adjoint sweeps, blending successive adjoint iterates. The maximum
+principle gives necessary conditions only, so the sweep can settle on a
+schedule that is not optimal; an exhaustive search over all bang-bang
+schedules serves as the ground-truth check for short horizons.
 
 Within this module the harvest is ``q(F(w)) * E`` with no clamp at the
 available stock; a nonnegativity guard on w keeps the recursion sane if a
@@ -21,12 +22,14 @@ never binds and this harvest coincides with the simulator's.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .env import EnvParams, catchability, spawner_recruit
+
+# Longest horizon brute_force_optimal searches: its arrays hold 2^T values.
+BRUTE_FORCE_MAX_HORIZON = 20
 
 
 @dataclass(frozen=True)
@@ -36,7 +39,8 @@ class AdjointSchedule:
     ``lambdas`` has length T+1 with the transversality value lambdas[T] = 0.
     ``post_harvest_stock`` has length T+1: entry 0 is the initial stock,
     entry k+1 the stock left after step k. Efforts are exactly 0 or the
-    total maximum.
+    total maximum. ``converged`` means the iteration settled, not that the
+    schedule is optimal: compare with ``brute_force_optimal`` for that.
     """
 
     lambdas: np.ndarray
@@ -203,27 +207,43 @@ def brute_force_optimal(
     price=None,
     cost=None,
 ) -> tuple[np.ndarray, float]:
-    """Exhaustive maximum over all 2^T bang-bang schedules (T <= 16).
+    """Exhaustive maximum over all 2^T bang-bang schedules
+    (T <= BRUTE_FORCE_MAX_HORIZON).
 
-    Ties go to the schedule that harvests earliest.
+    The stock after step k depends only on the first k choices, so all 2^k
+    schedule prefixes advance together, each splitting into its harvest and
+    rest children in that order. Each step repeats ``evaluate_schedule``'s
+    float operations, so the objective equals the returned schedule's
+    ``evaluate_schedule`` objective bit for bit. Ties go to the schedule
+    that harvests earliest.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if horizon > 16:
-        raise ValueError(f"horizon {horizon} too large for enumeration (max 16)")
+    if horizon > BRUTE_FORCE_MAX_HORIZON:
+        raise ValueError(
+            f"horizon {horizon} too large for enumeration (max {BRUTE_FORCE_MAX_HORIZON})"
+        )
     e_total = params.n_agents * params.e_max
+    s_eq, r = params.s_eq, params.growth_rate
     prices = _per_step(params.price if price is None else price, horizon)
     costs = _per_step(params.cost if cost is None else cost, horizon)
 
-    best_obj = -np.inf
-    best = None
-    # product over (e_total, 0) yields earlier-harvesting schedules first, so
-    # keeping strict improvements resolves ties toward early harvesting
-    for schedule in itertools.product((e_total, 0.0), repeat=horizon):
-        objective, _ = evaluate_schedule(
-            np.array(schedule), params.s_eq, params.growth_rate, prices, costs
-        )
-        if objective > best_obj:
-            best_obj = objective
-            best = schedule
-    return np.array(best), best_obj
+    choices = np.array([e_total, 0.0])
+    stock = np.array([s_eq])
+    objective = np.zeros(1)
+    for k in range(horizon):
+        grown = stock * np.exp(r * (1.0 - stock / s_eq))
+        q = np.where(grown <= 2.0 * s_eq, grown / (2.0 * s_eq), 1.0)
+        harvest = q[:, None] * choices
+        # row i holds the children of prefix i, so ravel keeps
+        # itertools.product((e_total, 0.0), repeat=k+1) order; adding the
+        # objective in place (IEEE addition commutes) saves a 2^k-wide array
+        gain = prices[k] * harvest - costs[k]
+        gain += objective[:, None]
+        objective = gain.ravel()
+        if k + 1 < horizon:
+            stock = np.maximum(grown[:, None] - harvest, 0.0).ravel()
+    # argmax takes the first maximum: the earliest-harvesting schedule
+    best = int(np.argmax(objective))
+    rests = (best >> np.arange(horizon - 1, -1, -1)) & 1
+    return choices[rests], objective[best]

@@ -10,6 +10,7 @@ stock loss is shared, which is what makes the setting a commons dilemma.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -49,6 +50,9 @@ class EnvParams:
     enforce_growth_bounds: bool = True
 
     def __post_init__(self):
+        for name in ("s_eq", "growth_rate", "e_max", "price", "cost", "depletion_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_agents < 1:
             raise ValueError(f"n_agents must be >= 1, got {self.n_agents}")
         if self.s_eq <= 0:

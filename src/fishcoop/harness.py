@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytics, env, metrics, signals
-from .learner import PpoAgent, PpoHyper, Trajectory, UpdateDivergedError, save_checkpoint
+from .learner import PpoAgent, PpoHyper, Trajectory, save_checkpoint
 
 MANIFEST_VERSION = 1
 EXTRAPOLATED = "extrapolated"
@@ -199,7 +199,9 @@ class TrialResult:
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
     """Train one seed of one cell: episode loop with step-count PPO cadence,
     early stopping on the convergence criterion, and last-200 extrapolation
-    of the remaining episode metrics."""
+    of the remaining episode metrics. An exception in the episode loop (a
+    diverged update, a non-finite action) marks only this trial failed and
+    is kept in its ``error``."""
     seed = trial_seed(config.base_seed, config.cell_id, trial_index)
     env_rng, eval_rng, agent_rngs = _spawn_streams(seed, config.n_agents)
     params = config.env_params()
@@ -256,9 +258,9 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
             if metrics.convergence_check(history, config.t_max):
                 converged = True
                 break
-    except UpdateDivergedError as exc:
+    except Exception as exc:
         failed = True
-        error = str(exc)
+        error = f"{type(exc).__name__}: {exc}"
 
     episodes_run = len(history)
     convergence_time = episodes_run if converged else config.max_episodes

@@ -25,6 +25,17 @@ class TestControl:
         assert "sweep: objective=" in out
         assert "brute force: objective=" in out
 
+    def test_suboptimal_sweep_is_reported(self, capsys):
+        # at the default stock the sweep settles short of the optimum at T = 8
+        assert run_cli("control", "--horizon", "8") == 0
+        assert "sweep is NOT optimal" in capsys.readouterr().out
+
+    def test_optimal_sweep_is_not_flagged(self, capsys):
+        assert run_cli("control", "--seq", "1.0", "--horizon", "10") == 0
+        out = capsys.readouterr().out
+        assert "brute force: objective=" in out
+        assert "NOT optimal" not in out
+
 
 class TestBaseline:
     def test_writes_csv(self, tmp_path, capsys):

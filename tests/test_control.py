@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fishcoop import control, env
-from fishcoop.env import catchability, spawner_recruit
+from fishcoop.env import GROWTH_RATE_MAX, GROWTH_RATE_MIN, catchability, spawner_recruit
 
 
 def single_owner_params(s_eq=1.0, r=1.0, e_total=1.0, price=1.0, cost=0.0):
@@ -79,7 +81,9 @@ class TestBruteForce:
 
     def test_horizon_cap(self):
         with pytest.raises(ValueError):
-            control.brute_force_optimal(single_owner_params(), 17)
+            control.brute_force_optimal(
+                single_owner_params(), control.BRUTE_FORCE_MAX_HORIZON + 1
+            )
 
     def test_zero_price_tie_breaks_early(self):
         params = single_owner_params(price=0.0)
@@ -87,6 +91,102 @@ class TestBruteForce:
         assert objective == 0.0
         # every schedule ties at 0; earliest-harvesting wins
         assert np.array_equal(schedule, [1.0, 1.0, 1.0])
+
+
+def enumerated_optimum(params, horizon, price, cost):
+    """Schedule-by-schedule search, keeping strict improvements in
+    itertools.product order so ties go to the earliest harvest."""
+    e_total = params.n_agents * params.e_max
+    best_obj, best = -np.inf, None
+    for schedule in itertools.product((e_total, 0.0), repeat=horizon):
+        obj, _ = control.evaluate_schedule(
+            np.array(schedule), params.s_eq, params.growth_rate, price, cost
+        )
+        if obj > best_obj:
+            best_obj, best = obj, np.array(schedule)
+    return best, best_obj
+
+
+def random_problem(seed):
+    rng = np.random.default_rng(seed)
+    horizon = int(rng.integers(1, 11))
+    params = env.EnvParams(
+        n_agents=int(rng.integers(1, 5)),
+        s_eq=float(rng.uniform(0.3, 3.0)),
+        growth_rate=float(rng.uniform(0.3, 2.6)),
+        e_max=float(rng.uniform(0.2, 1.5)),
+    )
+    price = rng.uniform(0.0, 2.0, horizon)
+    cost = rng.uniform(0.0, 0.3, horizon)
+    return params, horizon, price, cost
+
+
+class TestBruteForceMatchesEnumeration:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_problems(self, seed):
+        params, horizon, price, cost = random_problem(seed)
+        schedule, objective = control.brute_force_optimal(params, horizon, price, cost)
+        expected, expected_obj = enumerated_optimum(params, horizon, price, cost)
+        assert np.array_equal(schedule, expected)
+        assert objective == expected_obj
+
+    def test_zero_price_ties_everywhere(self):
+        params, horizon, _, cost = random_problem(99)
+        price = np.zeros(horizon)
+        schedule, objective = control.brute_force_optimal(params, horizon, price, cost)
+        expected, expected_obj = enumerated_optimum(params, horizon, price, cost)
+        assert np.array_equal(schedule, expected)
+        assert np.all(schedule == params.n_agents * params.e_max)
+        assert objective == expected_obj
+
+    @pytest.mark.parametrize("horizon", range(17, control.BRUTE_FORCE_MAX_HORIZON + 1))
+    def test_objective_is_the_schedules_past_old_cap(self, horizon):
+        params = single_owner_params(s_eq=0.8, r=1.3)
+        price = np.random.default_rng(horizon).uniform(0.5, 1.5, horizon)
+        cost = np.full(horizon, 0.05)
+        schedule, objective = control.brute_force_optimal(params, horizon, price, cost)
+        evaluated, _ = control.evaluate_schedule(schedule, 0.8, 1.3, price, cost)
+        assert objective == evaluated
+
+
+class TestSimulatorAgreement:
+    """The module docstring's claim: for total effort up to 2 s_eq a
+    schedule's objective is the simulator's welfare under the same efforts.
+    Cost is 0 because the simulator charges it per agent, not per fleet."""
+
+    @given(
+        n=st.integers(1, 4),
+        e_max=st.floats(0.1, 2.0),
+        headroom=st.floats(1.0, 4.0),
+        r=st.floats(GROWTH_RATE_MIN, GROWTH_RATE_MAX),
+        price=st.floats(0.1, 3.0),
+        harvests=st.lists(st.booleans(), min_size=1, max_size=15),
+    )
+    @settings(max_examples=100)
+    def test_schedule_matches_env_rollout(self, n, e_max, headroom, r, price, harvests):
+        s_eq = headroom * n * e_max / 2.0
+        horizon = len(harvests)
+        params = env.EnvParams(
+            n_agents=n, s_eq=s_eq, growth_rate=r, e_max=e_max, price=price,
+            max_steps=horizon,
+        )
+        state = env.reset(params)
+        stocks, welfare = [state.stock], 0.0
+        for harvest in harvests:
+            state, outcome = env.step(state, np.full(n, e_max if harvest else 0.0), params)
+            stocks.append(state.stock)
+            welfare += outcome.rewards.sum()
+            if outcome.done:  # compare only the steps the simulator ran
+                break
+        steps = state.t
+        efforts = np.where(harvests[:steps], n * e_max, 0.0)
+        objective, post_harvest = control.evaluate_schedule(
+            efforts, s_eq, r, np.full(steps, price), np.zeros(steps)
+        )
+        assert objective == pytest.approx(welfare, rel=1e-9, abs=1e-12)
+        # the simulator's stock is the regrown post-harvest stock
+        regrown = [spawner_recruit(w, s_eq, r) for w in post_harvest]
+        assert regrown == pytest.approx(stocks, rel=1e-9, abs=1e-12)
 
 
 class TestSweep:

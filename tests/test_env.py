@@ -201,3 +201,13 @@ class TestDynamicsProperties:
         # explicit override for the demonstration case
         p = params(r=4.0, enforce_growth_bounds=False)
         assert p.growth_rate == 4.0
+
+    @pytest.mark.parametrize(
+        "field", ["s_eq", "growth_rate", "e_max", "price", "cost", "depletion_threshold"]
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_params_reject_non_finite(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            env.EnvParams(
+                **{"n_agents": 1, "s_eq": 1.0, "enforce_growth_bounds": False, field: value}
+            )

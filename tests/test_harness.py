@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from fishcoop import analytics, harness, metrics
+from fishcoop import analytics, harness, learner, metrics
 from fishcoop.env import DoneReason
 from fishcoop.learner import PpoAgent, PpoHyper
 
@@ -184,6 +184,27 @@ class TestRunTrial:
         assert np.all(result.social_welfare[stop_at:] == tail_mean)
         assert set(result.done_reasons[stop_at:]) == {harness.EXTRAPOLATED}
         assert len(result.social_welfare) == 25
+
+    def test_nan_action_fails_its_trial_not_the_grid(self, monkeypatch, tmp_path):
+        # a NaN mean head makes every action NaN, which env.step rejects; only
+        # the signalled cell (observation width 2 + G = 4) gets such agents
+        init = learner.init_policy_params
+
+        def nan_head(obs_dim, rng, hidden=(64, 64)):
+            params = init(obs_dim, rng, hidden)
+            if obs_dim == 4:
+                params.b_mean = np.nan
+            return params
+
+        monkeypatch.setattr(learner, "init_policy_params", nan_head)
+        result = harness.run_experiment(
+            [tiny_config(signal_cardinality=1, trials=1), tiny_config(trials=1)]
+        )
+        plain, signalled = (cell.trials[0] for cell in result.cells)
+        assert not plain.failed and plain.episodes_run > 0
+        assert signalled.failed and signalled.error.startswith("ValueError")
+        harness.persist(result, tmp_path / "out")
+        assert (tmp_path / "out" / "summary.csv").exists()
 
     def test_unconverged_ct_is_max_episodes(self):
         result = harness.run_trial(tiny_config(max_episodes=4), 0)
