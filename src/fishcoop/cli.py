@@ -8,7 +8,7 @@ on runtime failures.
 
 A ``--config`` file is flat ``key=value`` text ('#' comments allowed); every
 key mirrors the long CLI flag of the same name (without the leading dashes),
-and explicit CLI flags win over file values.
+explicit CLI flags win over file values, and an unknown key is an error.
 """
 
 from __future__ import annotations
@@ -70,11 +70,14 @@ _HYPER_KEYS = {
 
 
 def _merge(args: argparse.Namespace, file_values: dict[str, str], key: str, cast, default):
+    """The flag's value, else the file's, else ``default``. Consumes the file
+    key, so the keys left over afterwards are unknown."""
+    file_value = file_values.pop(key, None)
     cli_value = getattr(args, key.replace("-", "_"), None)
     if cli_value is not None:
         return cli_value
-    if key in file_values:
-        return cast(file_values[key])
+    if file_value is not None:
+        return cast(file_value)
     return default
 
 
@@ -90,8 +93,8 @@ def _add_run_flags(parser: _Parser):
     parser.add_argument("--growth-rate", type=float)
     parser.add_argument("--emax", type=float)
     parser.add_argument("--out", help="output directory")
-    for key in _HYPER_KEYS:
-        parser.add_argument(f"--{key.replace('_', '-')}", type=float)
+    for key, (_, cast) in _HYPER_KEYS.items():
+        parser.add_argument(f"--{key.replace('_', '-')}", type=cast)
 
 
 def _build_hyper(args, file_values) -> PpoHyper:
@@ -99,11 +102,13 @@ def _build_hyper(args, file_values) -> PpoHyper:
     for key, (attr, cast) in _HYPER_KEYS.items():
         value = _merge(args, file_values, key, cast, None)
         if value is not None:
-            setattr(hyper, attr, cast(value))
+            setattr(hyper, attr, value)
     return hyper
 
 
-def _cmd_run(args) -> int:
+def _run_configs(args) -> tuple[list[harness.ExperimentConfig], str]:
+    """The grid cells and output directory of a ``run``, from its flags and
+    config file."""
     file_values = _parse_config_file(args.config) if args.config else {}
     agents = _int_list(_merge(args, file_values, "agents", str, "4"))
     ms_values = _float_list(_merge(args, file_values, "ms", str, "0.5"))
@@ -115,10 +120,11 @@ def _cmd_run(args) -> int:
     growth_rate = _merge(args, file_values, "growth-rate", float, 1.0)
     e_max = _merge(args, file_values, "emax", float, 1.0)
     out = _merge(args, file_values, "out", str, None)
+    hyper = _build_hyper(args, file_values)
+    if file_values:
+        raise CliError(f"{args.config}: unknown key(s): {', '.join(sorted(file_values))}")
     if out is None:
         raise CliError("an output directory is required (--out)")
-    hyper = _build_hyper(args, file_values)
-
     configs = [
         harness.ExperimentConfig(
             n_agents=n,
@@ -136,6 +142,11 @@ def _cmd_run(args) -> int:
         for m_s in ms_values
         for g in signal_values
     ]
+    return configs, out
+
+
+def _cmd_run(args) -> int:
+    configs, out = _run_configs(args)
     result = harness.run_experiment(configs)
     harness.persist(result, out)
     for row in harness.summarize(result):

@@ -86,6 +86,14 @@ def _spawn_streams(seed: int, n_agents: int):
     return env_rng, eval_rng, agent_rngs
 
 
+def _observations(state: env.EnvState, signal_vec: np.ndarray) -> np.ndarray:
+    """The step's (N, 2 + G) observations: row n is agent n's
+    [last effort, last reward, signal]."""
+    return np.column_stack(
+        (state.last_efforts, state.last_rewards, np.tile(signal_vec, (len(state.last_efforts), 1)))
+    )
+
+
 def run_episode(
     params: env.EnvParams,
     agents: list[PpoAgent],
@@ -94,7 +102,6 @@ def run_episode(
     episode_index: int = 0,
     trajectories: list[Trajectory] | None = None,
     step_hook=None,
-    deterministic: bool = False,
 ):
     """Play one episode with all agents acting synchronously each step.
 
@@ -118,32 +125,17 @@ def run_episode(
     reason = env.DoneReason.RUNNING
 
     while True:
-        signal_vec = signals.one_hot(state.t, source)
-        efforts = np.zeros(params.n_agents)
-        infos = []
-        for n, agent in enumerate(agents):
-            effort, info = agent.act(
-                float(state.last_efforts[n]),
-                float(state.last_rewards[n]),
-                signal_vec,
-                deterministic=deterministic,
-            )
-            efforts[n] = effort
-            infos.append(info)
+        obs = _observations(state, signals.one_hot(state.t, source))
+        steps = [agent.act(row) for agent, row in zip(agents, obs)]
+        efforts = np.array([effort for effort, _ in steps])
         state, outcome = env.step(state, efforts, params)
         returns += outcome.rewards
         actions_log.append(efforts)
         signal_log.append(signals.hot_index(state.t - 1, source))
         if trajectories is not None:
-            for n, info in enumerate(infos):
+            for n, (_, (raw, log_prob, value, mean)) in enumerate(steps):
                 trajectories[n].append(
-                    info["obs"],
-                    info["raw"],
-                    info["log_prob"],
-                    info["value"],
-                    info["mean"],
-                    float(outcome.rewards[n]),
-                    outcome.done,
+                    obs[n], raw, log_prob, value, mean, float(outcome.rewards[n]), outcome.done
                 )
         if step_hook is not None:
             step_hook(state, outcome, source)
@@ -220,14 +212,9 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
         total_steps += 1
         if steps_since_update < config.hyper.steps_per_update:
             return
-        signal_vec = signals.one_hot(state.t, source)
+        obs = _observations(state, signals.one_hot(state.t, source))
         for n, agent in enumerate(agents):
-            if outcome.done:
-                last_value = 0.0
-            else:
-                last_value = agent.value_of(
-                    float(state.last_efforts[n]), float(state.last_rewards[n]), signal_vec
-                )
+            last_value = 0.0 if outcome.done else float(agent.forward(obs[n : n + 1])[1][0])
             agent.update(buffers[n], last_value=last_value)
             buffers[n] = Trajectory()
         steps_since_update = 0
@@ -359,7 +346,10 @@ def run_experiment(configs: list[ExperimentConfig]) -> ExperimentResult:
 
 def _baseline_cell(cell: CellResult, cells: list[CellResult]) -> CellResult | None:
     """First cell whose configuration differs from this one in the signal
-    alone, with no signal (G = 1)."""
+    alone, with no signal (G = 1). A no-signal cell has none: it is never its
+    own baseline."""
+    if cell.config.signal_cardinality == 1:
+        return None
     unsignalled = replace(cell.config, signal_cardinality=1)
     for other in cells:
         if other.config == unsignalled:
@@ -465,6 +455,7 @@ def build_manifest(result: ExperimentResult) -> dict:
                 "config": _config_to_dict(cfg),
                 "theory_limits": asdict(limits),
                 "trial_seeds": [t.seed for t in cell.trials],
+                "trial_errors": [t.error for t in cell.trials],
                 "total_steps": int(sum(t.total_steps for t in cell.trials)),
                 "wall_clock_s": float(sum(t.wall_clock for t in cell.trials)),
             }

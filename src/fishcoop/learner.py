@@ -50,7 +50,8 @@ class PpoHyper:
 
 
 # Settings of the desk-scale experiments: the acceptance learning-trend check
-# and scripts/run_desk_grid.py train with these.
+# trains with these, and configs/desk_grid.cfg spells them out as CLI keys
+# (tests/test_cli.py keeps the two equal).
 DESK_HYPER = PpoHyper(
     learning_rate=1e-3,
     steps_per_update=400,
@@ -112,10 +113,6 @@ class PolicyParams:
         params._bind(np.ascontiguousarray(flat, dtype=float), layer_sizes)
         return params
 
-    @property
-    def obs_dim(self) -> int:
-        return self.layer_sizes[0]
-
     def to_flat(self) -> np.ndarray:
         return self.flat.copy()
 
@@ -160,33 +157,8 @@ def _forward_batch(params: PolicyParams, obs: np.ndarray, e_max: float):
     return mean, value, h1, h2
 
 
-def policy_forward(
-    params: PolicyParams, obs: np.ndarray, e_max: float
-) -> tuple[float, float, float]:
-    """Single-observation forward pass -> (action mean, std, value estimate)."""
-    obs = np.asarray(obs, dtype=float)
-    if obs.shape != (params.obs_dim,):
-        raise ValueError(
-            f"observation shape {obs.shape} does not match input width {params.obs_dim}"
-        )
-    mean, value, _, _ = _forward_batch(params, obs[None, :], e_max)
-    return float(mean[0]), float(np.exp(params.log_std)), float(value[0])
-
-
 def gaussian_log_prob(x, mean, std):
     return -0.5 * ((x - mean) / std) ** 2 - np.log(std) - 0.5 * LOG_2PI
-
-
-def sample_action(
-    mean: float, std: float, e_max: float, rng: np.random.Generator
-) -> tuple[float, float, float]:
-    """Draw a raw Gaussian action, clip it into the effort range, and return
-    (raw, clipped, log-probability of the raw sample)."""
-    if std <= 0:
-        raise ValueError(f"std must be positive, got {std}")
-    raw = float(rng.normal(mean, std))
-    clipped = min(max(raw, 0.0), e_max)
-    return raw, clipped, float(gaussian_log_prob(raw, mean, std))
 
 
 def gae_advantages(
@@ -447,48 +419,29 @@ class PpoAgent:
     def std(self) -> float:
         return float(np.exp(self.params.log_std))
 
-    def observe(self, prev_effort: float, prev_reward: float, signal_vec: np.ndarray) -> np.ndarray:
-        return np.concatenate(([prev_effort, prev_reward], signal_vec))
+    def forward(self, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Action means and value estimates of a (rows, obs_dim) observation batch."""
+        means, values, _, _ = _forward_batch(self.params, obs, self.e_max)
+        return means, values
 
-    def act(
-        self,
-        prev_effort: float,
-        prev_reward: float,
-        signal_vec: np.ndarray,
-        deterministic: bool = False,
-    ) -> tuple[float, dict]:
-        obs = self.observe(prev_effort, prev_reward, signal_vec)
-        mean, std, value = policy_forward(self.params, obs, self.e_max)
-        if deterministic:
-            effort = min(max(mean, 0.0), self.e_max)
-            return effort, {
-                "obs": obs,
-                "raw": effort,
-                "log_prob": float(gaussian_log_prob(effort, mean, std)),
-                "value": value,
-                "mean": mean,
-            }
-        raw, effort, log_prob = sample_action(mean, std, self.e_max, self.rng)
-        return effort, {
-            "obs": obs,
-            "raw": raw,
-            "log_prob": log_prob,
-            "value": value,
-            "mean": mean,
-        }
+    def act(self, obs: np.ndarray) -> tuple[float, tuple[float, float, float, float]]:
+        """Sample this agent's effort for its observation row. Returns
+        (effort, (raw, log_prob, value, mean)): the raw Gaussian draw, its
+        log-probability, the value estimate and the action mean; the effort is
+        the raw draw clipped into [0, e_max]."""
+        means, values = self.forward(obs[None, :])
+        mean, value, std = float(means[0]), float(values[0]), self.std
+        if std <= 0:
+            raise ValueError(f"std must be positive, got {std}")
+        raw = float(self.rng.normal(mean, std))
+        effort = min(max(raw, 0.0), self.e_max)
+        return effort, (raw, float(gaussian_log_prob(raw, mean, std)), value, mean)
 
-    def sample_efforts(
-        self, obs: np.ndarray, n: int, rng: np.random.Generator | None = None
-    ) -> np.ndarray:
-        """Vectorized batch of clipped effort samples for one observation."""
-        mean, std, _ = policy_forward(self.params, np.asarray(obs, dtype=float), self.e_max)
-        draws = (rng if rng is not None else self.rng).normal(mean, std, size=n)
+    def sample_efforts(self, obs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n clipped effort samples for one observation, drawn from ``rng``."""
+        means, _ = self.forward(obs[None, :])
+        draws = rng.normal(float(means[0]), self.std, size=n)
         return np.clip(draws, 0.0, self.e_max)
-
-    def value_of(self, prev_effort: float, prev_reward: float, signal_vec: np.ndarray) -> float:
-        obs = self.observe(prev_effort, prev_reward, signal_vec)
-        _, _, value = policy_forward(self.params, obs, self.e_max)
-        return value
 
     def update(self, traj: Trajectory, last_value: float = 0.0) -> dict:
         batch = traj.to_batch(self.hyper.gamma, self.hyper.gae_lambda, self.std, last_value)
@@ -515,6 +468,13 @@ def save_checkpoint(path, agents: list[PpoAgent]) -> None:
             fh.write(agent.params.flat.astype("<f8").tobytes())
 
 
+def _read_exactly(fh, size: int, what: str) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError(f"truncated checkpoint: {what}")
+    return data
+
+
 def load_checkpoint(
     path, e_max: float = 1.0, hyper: PpoHyper | None = None
 ) -> list[PpoAgent]:
@@ -523,16 +483,20 @@ def load_checkpoint(
     with open(path, "rb") as fh:
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise ValueError(f"{path} is not a policy checkpoint")
-        version, g, n_agents, n_sizes = struct.unpack("<IIII", fh.read(16))
+        version, g, n_agents, n_sizes = struct.unpack("<IIII", _read_exactly(fh, 16, "header"))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        layer_sizes = struct.unpack(f"<{n_sizes}I", fh.read(4 * n_sizes))
+        if n_sizes != 3:
+            raise ValueError(f"expected 3 layer sizes, got {n_sizes}")
+        layer_sizes = struct.unpack("<3I", _read_exactly(fh, 12, "layer sizes"))
+        if layer_sizes[0] != g + 2:
+            raise ValueError(
+                f"input width {layer_sizes[0]} does not match signal cardinality {g} + 2"
+            )
         _, flat_len = _layout(layer_sizes)
         agents = []
         for i in range(n_agents):
-            raw = fh.read(8 * flat_len)
-            if len(raw) != 8 * flat_len:
-                raise ValueError(f"truncated checkpoint: agent {i}")
+            raw = _read_exactly(fh, 8 * flat_len, f"agent {i}")
             flat = np.frombuffer(raw, dtype="<f8").astype(float)
             agent = PpoAgent(g, e_max, hyper, np.random.default_rng(0), hidden=layer_sizes[1:])
             agent.params = PolicyParams.from_flat(flat, layer_sizes)

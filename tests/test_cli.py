@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 
 from fishcoop import cli, harness
-from fishcoop.learner import PpoAgent, PpoHyper, save_checkpoint
+from fishcoop.learner import DESK_HYPER, PpoAgent, PpoHyper, save_checkpoint
+
+DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk_grid.cfg"
 
 
 def run_cli(*argv):
@@ -80,6 +84,35 @@ class TestRunAndReplay:
         assert manifest[0].max_episodes == 2  # CLI flag wins
         assert manifest[0].base_seed == 5
 
+    def test_unknown_config_key_is_an_error(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        # a typo of "episodes"; the valid keys keep the run short if it is ignored
+        config.write_text(
+            "agents=2\nsignal=1\ntrials=1\nepisodes=1\ntmax=5\nepisode=3\n"
+            f"out={tmp_path / 'never'}\n"
+        )
+        assert run_cli("run", "--config", str(config)) == 1
+        assert "episode" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
+    def test_integer_hyper_flags_reject_fractions(self, tmp_path, capsys):
+        for flag, value in [("--epochs", "2.5"), ("--minibatch", "64.9")]:
+            out = tmp_path / flag.strip("-")
+            assert run_cli("run", flag, value, "--episodes", "1", "--out", str(out)) == 1
+            assert not out.exists()
+
+    def test_desk_config_builds_desk_grid(self):
+        args = cli.build_parser().parse_args(["run", "--config", str(DESK_CONFIG)])
+        configs, out = cli._run_configs(args)
+        assert out == "runs/desk_grid"
+        assert configs == [
+            harness.ExperimentConfig(
+                n_agents=4, m_s=0.5, signal_cardinality=g, max_episodes=1000,
+                t_max=100, trials=5, base_seed=0, hyper=DESK_HYPER,
+            )
+            for g in (1, 4)
+        ]
+
 
 class TestCicCommand:
     def test_checkpoint_evaluation(self, tmp_path, capsys):
@@ -94,6 +127,16 @@ class TestCicCommand:
         )
         assert code == 0
         assert "mean CIC=" in capsys.readouterr().out
+
+    def test_checkpoint_with_mismatched_width_is_rejected(self, tmp_path, capsys):
+        agents = [PpoAgent(2, 1.0, PpoHyper(), np.random.default_rng(0), hidden=(8, 8))]
+        path = tmp_path / "p.ckpt"
+        save_checkpoint(path, agents)
+        blob = bytearray(path.read_bytes())
+        blob[8:12] = (3).to_bytes(4, "little")  # header claims g=3 over width-4 weights
+        path.write_bytes(bytes(blob))
+        assert run_cli("cic", "--checkpoint", str(path)) == 1
+        assert "signal cardinality 3" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -29,7 +29,7 @@ def tiny_config(**kw):
     return harness.ExperimentConfig(**defaults)
 
 
-def make_agents(config, bias=0.0, seed=0):
+def make_agents(config, bias=0.0, seed=0, log_std=0.0):
     agents = []
     for i in range(config.n_agents):
         agent = PpoAgent(
@@ -45,6 +45,7 @@ def make_agents(config, bias=0.0, seed=0):
         agent.params.b2[:] = 0.0
         agent.params.w_mean[:] = 0.0
         agent.params.b_mean = bias
+        agent.params.log_std = log_std
         agents.append(agent)
     return agents
 
@@ -68,13 +69,13 @@ class TestTrialSeeds:
 class TestRunEpisode:
     def test_half_effort_agents_survive_abundant_stock(self):
         config = tiny_config(m_s=1.1, t_max=50)
-        agents = make_agents(config)  # zero params: deterministic mean e_max / 2
+        # zero params: mean e_max / 2, and a std of 1e-13 keeps every draw there
+        agents = make_agents(config, log_std=-30.0)
         record, actions, signal_idx = harness.run_episode(
             config.env_params(),
             agents,
             config.signal_cardinality,
             np.random.default_rng(0),
-            deterministic=True,
         )
         assert record.length == 50
         assert record.done_reason is DoneReason.HORIZON_REACHED
@@ -83,13 +84,12 @@ class TestRunEpisode:
     def test_max_effort_agents_deplete_scarce_stock(self):
         config = tiny_config(m_s=0.5, t_max=50)
         assert config.m_s <= analytics.ms_of_lid(config.growth_rate)
-        agents = make_agents(config, bias=60.0)  # sigmoid saturated at e_max
+        agents = make_agents(config, bias=60.0, log_std=-30.0)  # sigmoid saturated at e_max
         record, _, _ = harness.run_episode(
             config.env_params(),
             agents,
             config.signal_cardinality,
             np.random.default_rng(0),
-            deterministic=True,
         )
         assert record.done_reason is DoneReason.DEPLETED
         assert record.length <= 2
@@ -205,6 +205,9 @@ class TestRunTrial:
         assert signalled.failed and signalled.error.startswith("ValueError")
         harness.persist(result, tmp_path / "out")
         assert (tmp_path / "out" / "summary.csv").exists()
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        errors = [cell["trial_errors"] for cell in manifest["cells"]]
+        assert errors == [[None], [signalled.error]]
 
     def test_unconverged_ct_is_max_episodes(self):
         result = harness.run_trial(tiny_config(max_episodes=4), 0)
@@ -238,13 +241,14 @@ class TestExperimentAndSummary:
         assert len(rows) == 1
         assert rows[0]["cell"] == "n2_g2_ms0.8"
 
-    def test_identical_no_signal_cells_give_zero_diff_p_one(self):
+    def test_no_signal_cells_are_never_paired(self):
+        # a G=1 cell is not its own baseline, nor that of an identical cell
         config = tiny_config(signal_cardinality=1)
         result = harness.run_experiment([config, config])
         rows = harness.summarize(result)
         for row in rows:
-            assert row["sw_relative_difference"] == 0.0
-            assert row["sw_p_value"] == 1.0
+            assert np.isnan(row["sw_relative_difference"])
+            assert np.isnan(row["sw_p_value"])
 
     def test_grid_rows_and_pairing(self):
         configs = [

@@ -23,7 +23,7 @@ def zero_params(obs_dim, hidden=(8, 8)):
 def random_batch(params, rng, n=32, e_max=1.0, ratio_jitter=0.2):
     """Batch with ratios held inside the clip band so finite differences
     never straddle the surrogate's kinks."""
-    g = params.obs_dim - 2
+    g = params.layer_sizes[0] - 2
     obs = np.column_stack(
         [rng.uniform(0, 1, n), rng.uniform(0, 1, n), np.eye(g)[rng.integers(0, g, n)]]
     )
@@ -59,43 +59,61 @@ def test_default_hidden_widths():
     assert agent.params.layer_sizes == (4, 64, 64)
 
 
+def zero_agent(g=2, e_max=1.0, log_std=0.0, b_mean=0.0, seed=0):
+    """An agent whose network ignores its input: action mean
+    e_max * sigmoid(b_mean), value 0, std exp(log_std)."""
+    agent = PpoAgent(g, e_max, PpoHyper(), np.random.default_rng(seed), hidden=(8, 8))
+    agent.params = zero_params(g + 2)
+    agent.params.log_std = log_std
+    agent.params.b_mean = b_mean
+    return agent
+
+
+def logit(p):
+    return float(np.log(p / (1.0 - p)))
+
+
 class TestPolicyForward:
     def test_zero_network(self):
-        params = zero_params(4)
-        mean, std, value = learner.policy_forward(params, np.zeros(4), e_max=1.0)
-        assert mean == pytest.approx(0.5)
-        assert std == 1.0
-        assert value == 0.0
+        agent = zero_agent()
+        means, values = agent.forward(np.zeros((1, 4)))
+        assert means[0] == pytest.approx(0.5)
+        assert agent.std == 1.0
+        assert values[0] == 0.0
 
     def test_zero_network_respects_e_max(self):
-        params = zero_params(4)
-        mean, _, _ = learner.policy_forward(params, np.ones(4), e_max=3.0)
-        assert mean == pytest.approx(1.5)
+        agent = zero_agent(e_max=3.0)
+        means, _ = agent.forward(np.ones((1, 4)))
+        assert means[0] == pytest.approx(1.5)
 
     def test_dimension_mismatch(self):
-        params = zero_params(4)
+        agent = zero_agent()
         with pytest.raises(ValueError):
-            learner.policy_forward(params, np.zeros(5), e_max=1.0)
+            agent.forward(np.zeros((1, 5)))
+        with pytest.raises(ValueError):
+            agent.act(np.zeros(5))
 
     def test_signal_changes_mean(self):
         rng = np.random.default_rng(3)
         differ = 0
         for _ in range(20):
-            params = learner.init_policy_params(4, rng, hidden=(8, 8))
+            agent = PpoAgent(2, 1.0, PpoHyper(), rng, hidden=(8, 8))
             obs_a = np.array([0.3, 0.1, 1.0, 0.0])
             obs_b = np.array([0.3, 0.1, 0.0, 1.0])
-            m_a, _, _ = learner.policy_forward(params, obs_a, 1.0)
-            m_b, _, _ = learner.policy_forward(params, obs_b, 1.0)
+            (m_a,), _ = agent.forward(obs_a[None, :])
+            (m_b,), _ = agent.forward(obs_b[None, :])
             differ += m_a != m_b
         assert differ == 20
 
 
 class TestSampleAction:
     def test_tiny_std_clamps_to_mean(self):
-        rng = np.random.default_rng(0)
-        for mean, expected in [(0.4, 0.4), (-1.0, 0.0), (2.0, 1.0)]:
-            _, clipped, _ = learner.sample_action(mean, 1e-12, 1.0, rng)
-            assert clipped == pytest.approx(expected, abs=1e-9)
+        # a sigmoid mean head stays inside (0, e_max): biases of -60 and 60
+        # put the mean within 1e-26 of either end, where the draws clip
+        for b_mean, expected in [(logit(0.4), 0.4), (-60.0, 0.0), (60.0, 1.0)]:
+            agent = zero_agent(log_std=-30.0, b_mean=b_mean)
+            effort, _ = agent.act(np.zeros(4))
+            assert effort == pytest.approx(expected, abs=1e-9)
 
     def test_log_prob_at_mode(self):
         std = 0.7
@@ -104,14 +122,15 @@ class TestSampleAction:
         )
 
     def test_empirical_mean(self):
-        rng = np.random.default_rng(5)
         mean, std, n = 0.3, 0.5, 100_000
-        raws = np.array([learner.sample_action(mean, std, 1.0, rng)[0] for _ in range(n)])
+        agent = zero_agent(log_std=np.log(std), b_mean=logit(mean), seed=5)
+        obs = np.zeros(4)
+        raws = np.array([agent.act(obs)[1][0] for _ in range(n)])
         assert abs(raws.mean() - mean) < 3 * std / np.sqrt(n)
 
     def test_invalid_std(self):
         with pytest.raises(ValueError):
-            learner.sample_action(0.5, 0.0, 1.0, np.random.default_rng(0))
+            zero_agent(log_std=-np.inf).act(np.zeros(4))
 
 
 class TestGae:
@@ -200,12 +219,11 @@ class TestPpoUpdate:
         # bandit=True marks every step terminal, so each advantage reflects
         # that step's own reward
         traj = Trajectory()
-        source_vec = np.array([1.0, 0.0])
+        obs = np.array([0.0, 0.0, 1.0, 0.0])
         for t in range(steps):
-            effort, info = agent.act(0.0, 0.0, source_vec)
+            effort, (raw, log_prob, value, mean) = agent.act(obs)
             traj.append(
-                info["obs"], info["raw"], info["log_prob"], info["value"],
-                info["mean"], reward_fn(effort), bandit or t == steps - 1,
+                obs, raw, log_prob, value, mean, reward_fn(effort), bandit or t == steps - 1
             )
         return traj
 
@@ -317,22 +335,36 @@ class TestPpoUpdate:
 
 class TestAct:
     def test_deterministic_zero_params(self):
-        agent = PpoAgent(2, 1.0, PpoHyper(), np.random.default_rng(0), hidden=(8, 8))
-        agent.params = zero_params(4)
-        effort, _ = agent.act(0.2, 0.9, np.array([0.0, 1.0]), deterministic=True)
+        # a near-zero std stands in for a greedy action
+        agent = zero_agent(log_std=-30.0)
+        effort, _ = agent.act(np.array([0.2, 0.9, 0.0, 1.0]))
         assert effort == pytest.approx(0.5)
 
     def test_same_seed_same_action(self):
         make = lambda: PpoAgent(2, 1.0, PpoHyper(), np.random.default_rng(7), hidden=(8, 8))
-        e1, _ = make().act(0.1, 0.2, np.array([1.0, 0.0]))
-        e2, _ = make().act(0.1, 0.2, np.array([1.0, 0.0]))
+        e1, _ = make().act(np.array([0.1, 0.2, 1.0, 0.0]))
+        e2, _ = make().act(np.array([0.1, 0.2, 1.0, 0.0]))
         assert e1 == e2
 
     def test_unit_signal_distribution_constant(self):
         agent = PpoAgent(1, 1.0, PpoHyper(), np.random.default_rng(0), hidden=(8, 8))
-        m1, s1, _ = learner.policy_forward(agent.params, np.array([0.3, 0.4, 1.0]), 1.0)
-        m2, s2, _ = learner.policy_forward(agent.params, np.array([0.3, 0.4, 1.0]), 1.0)
-        assert (m1, s1) == (m2, s2)
+        obs = np.array([[0.3, 0.4, 1.0]])
+        m1, v1 = agent.forward(obs)
+        m2, v2 = agent.forward(obs)
+        assert (m1[0], v1[0]) == (m2[0], v2[0])
+
+    def test_act_reports_its_draw(self):
+        # (raw, log_prob, value, mean) of the returned step describe the draw
+        # the effort was clipped from
+        agent = PpoAgent(2, 1.0, PpoHyper(), np.random.default_rng(2), hidden=(8, 8))
+        agent.params.log_std = 1.0
+        obs = np.array([0.5, 0.1, 0.0, 1.0])
+        (mean,), (value,) = agent.forward(obs[None, :])
+        for _ in range(20):
+            effort, (raw, log_prob, v, m) = agent.act(obs)
+            assert (m, v) == (mean, value)
+            assert effort == min(max(raw, 0.0), 1.0)
+            assert log_prob == learner.gaussian_log_prob(raw, mean, agent.std)
 
 
 class TestCheckpoint:
@@ -361,8 +393,33 @@ class TestCheckpoint:
         n = int.from_bytes(blob[12:16], "little")
         assert (version, g, n) == (learner.CHECKPOINT_VERSION, 2, 1)
 
+    @pytest.mark.parametrize("field, value", [(8, 3), (16, 4)])
+    def test_rejects_header_that_disagrees_with_weights(self, tmp_path, field, value):
+        # a g=2 checkpoint has input width 4; claiming g=3 (offset 8) or four
+        # layer sizes (offset 16) must fail on load, not at the first forward
+        path = tmp_path / "p.ckpt"
+        learner.save_checkpoint(
+            path, [PpoAgent(2, 1.0, PpoHyper(), np.random.default_rng(0), hidden=(8, 8))]
+        )
+        blob = bytearray(path.read_bytes())
+        blob[field : field + 4] = value.to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError):
+            learner.load_checkpoint(path)
+
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(ValueError):
+            learner.load_checkpoint(path)
+
+    @pytest.mark.parametrize("keep", [10, 24, 40])
+    def test_rejects_truncated_file(self, tmp_path, keep):
+        # cut inside the header, inside the layer sizes, inside the weights
+        path = tmp_path / "cut.ckpt"
+        learner.save_checkpoint(
+            path, [PpoAgent(2, 1.0, PpoHyper(), np.random.default_rng(0), hidden=(8, 8))]
+        )
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValueError, match="truncated"):
             learner.load_checkpoint(path)
