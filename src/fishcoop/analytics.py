@@ -21,18 +21,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import lambertw
 
 from . import env
 
 _INV_E = math.exp(-1.0)
-_HALLEY_MAX_ITER = 50
 
 
 def lambert_w(branch: int, x: float) -> float:
-    """Real Lambert W on branch 0 or -1, solving w * e^w = x by Halley iteration.
+    """Real Lambert W on branch 0 or -1, the solution w of w * e^w = x.
 
-    Branch 0 needs x >= -1/e; branch -1 needs -1/e <= x < 0. The residual
-    |w e^w - x| is driven below 1e-12 (absolute) within 50 iterations.
+    Branch 0 needs x >= -1/e; branch -1 needs -1/e <= x < 0.
     """
     if branch not in (0, -1):
         raise ValueError(f"branch must be 0 or -1, got {branch}")
@@ -40,42 +39,10 @@ def lambert_w(branch: int, x: float) -> float:
         raise ValueError(f"x={x} below the branch point -1/e")
     if branch == -1 and x >= 0:
         raise ValueError(f"branch -1 requires x < 0, got {x}")
-    if x == 0.0:
-        return 0.0
-
-    p_sq = 2.0 * (math.e * x + 1.0)
-    if p_sq <= 0.0:
-        # branch point itself (up to rounding)
+    if math.e * x + 1.0 <= 0.0:
+        # the branch point itself (up to rounding), where SciPy returns nan
         return -1.0
-
-    if branch == 0:
-        if x < -0.25:
-            # series around the branch point in p = sqrt(2 (e x + 1))
-            p = math.sqrt(p_sq)
-            w = -1.0 + p - p * p / 3.0 + 11.0 * p**3 / 72.0
-        elif x < 2.0:
-            w = x / (1.0 + x)
-        else:
-            lx = math.log(x)
-            w = lx - math.log(lx)
-    else:
-        if x < -0.25:
-            p = math.sqrt(p_sq)
-            w = -1.0 - p - p * p / 3.0
-        else:
-            # asymptote for x -> 0^-
-            lx = math.log(-x)
-            w = lx - math.log(-lx)
-
-    for _ in range(_HALLEY_MAX_ITER):
-        ew = math.exp(w)
-        f = w * ew - x
-        if abs(f) < 1e-13:
-            break
-        wp1 = w + 1.0
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        w -= f / denom
-    return w
+    return float(lambertw(x, branch).real)
 
 
 def growth_rate_bounds() -> tuple[float, float]:

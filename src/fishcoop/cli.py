@@ -6,15 +6,19 @@ vs brute force), ``cic`` (signal influence of a checkpoint), ``replay``
 (re-run from a manifest). Exits 0 on success, 1 on parameter errors and 2
 on runtime failures.
 
-A ``--config`` file is flat ``key=value`` text ('#' comments allowed); every
-key mirrors the long CLI flag of the same name (without the leading dashes),
-explicit CLI flags win over file values, and an unknown key is an error.
+A ``run --config`` file is flat ``key=value`` text ('#' comments allowed). Its
+keys are the names of the ``run`` flags without the leading dashes, with ``-``
+and ``_`` interchangeable (``kl-target`` or ``kl_target``); a value is read
+as its flag's would be, explicit flags win over file values, and an unknown
+key is an error.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -47,100 +51,82 @@ def _parse_config_file(path) -> dict[str, str]:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in str(text).split(",") if part.strip()]
+    return [int(part) for part in text.split(",") if part.strip()]
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(part) for part in str(text).split(",") if part.strip()]
+    return [float(part) for part in text.split(",") if part.strip()]
 
 
-_HYPER_KEYS = {
-    "lr": ("learning_rate", float),
-    "clip": ("clip", float),
-    "vf_clip": ("vf_clip", float),
-    "kl_target": ("kl_target", float),
-    "gamma": ("gamma", float),
-    "gae_lambda": ("gae_lambda", float),
-    "vf_coeff": ("vf_coeff", float),
-    "entropy_coeff": ("entropy_coeff", float),
-    "epochs": ("epochs_per_update", int),
-    "minibatch": ("minibatch_size", int),
-    "steps_per_update": ("steps_per_update", int),
+# Each `run` flag and the ExperimentConfig or PpoHyper field it sets. A flag,
+# or the config key of the same name, has its field's type; a setting given by
+# neither is left out of the constructor call, so the dataclass holds the only
+# default. The grid axes take comma-separated lists, and as their fields have
+# no default, the CLI's stand in.
+_RUN_FIELDS = {
+    "agents": (harness.ExperimentConfig, "n_agents"),
+    "ms": (harness.ExperimentConfig, "m_s"),
+    "signal": (harness.ExperimentConfig, "signal_cardinality"),
+    "trials": (harness.ExperimentConfig, "trials"),
+    "seed": (harness.ExperimentConfig, "base_seed"),
+    "episodes": (harness.ExperimentConfig, "max_episodes"),
+    "tmax": (harness.ExperimentConfig, "t_max"),
+    "growth-rate": (harness.ExperimentConfig, "growth_rate"),
+    "emax": (harness.ExperimentConfig, "e_max"),
+    "lr": (PpoHyper, "learning_rate"),
+    "clip": (PpoHyper, "clip"),
+    "vf-clip": (PpoHyper, "vf_clip"),
+    "kl-target": (PpoHyper, "kl_target"),
+    "gamma": (PpoHyper, "gamma"),
+    "gae-lambda": (PpoHyper, "gae_lambda"),
+    "vf-coeff": (PpoHyper, "vf_coeff"),
+    "entropy-coeff": (PpoHyper, "entropy_coeff"),
+    "epochs": (PpoHyper, "epochs_per_update"),
+    "minibatch": (PpoHyper, "minibatch_size"),
+    "steps-per-update": (PpoHyper, "steps_per_update"),
 }
+_GRID_DEFAULTS = {"agents": [4], "ms": [0.5], "signal": [1]}
 
 
-def _merge(args: argparse.Namespace, file_values: dict[str, str], key: str, cast, default):
-    """The flag's value, else the file's, else ``default``. Consumes the file
-    key, so the keys left over afterwards are unknown."""
-    file_value = file_values.pop(key, None)
-    cli_value = getattr(args, key.replace("-", "_"), None)
-    if cli_value is not None:
-        return cli_value
-    if file_value is not None:
-        return cast(file_value)
-    return default
+def _run_flag_type(flag: str):
+    if flag == "out":
+        return str
+    cls, name = _RUN_FIELDS[flag]
+    kind = typing.get_type_hints(cls)[name]
+    return {int: _int_list, float: _float_list}[kind] if flag in _GRID_DEFAULTS else kind
 
 
 def _add_run_flags(parser: _Parser):
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--agents", help="population sizes, comma separated")
-    parser.add_argument("--ms", help="scarcity multipliers, comma separated")
-    parser.add_argument("--signal", help="signal cardinalities, comma separated")
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--episodes", type=int)
-    parser.add_argument("--tmax", type=int)
-    parser.add_argument("--growth-rate", type=float)
-    parser.add_argument("--emax", type=float)
+    parser.add_argument("--config", help="flat key=value file, keyed by flag name")
     parser.add_argument("--out", help="output directory")
-    for key, (_, cast) in _HYPER_KEYS.items():
-        parser.add_argument(f"--{key.replace('_', '-')}", type=cast)
-
-
-def _build_hyper(args, file_values) -> PpoHyper:
-    hyper = PpoHyper()
-    for key, (attr, cast) in _HYPER_KEYS.items():
-        value = _merge(args, file_values, key, cast, None)
-        if value is not None:
-            setattr(hyper, attr, value)
-    return hyper
+    for flag in _RUN_FIELDS:
+        parser.add_argument(f"--{flag}", type=_run_flag_type(flag))
 
 
 def _run_configs(args) -> tuple[list[harness.ExperimentConfig], str]:
     """The grid cells and output directory of a ``run``, from its flags and
     config file."""
-    file_values = _parse_config_file(args.config) if args.config else {}
-    agents = _int_list(_merge(args, file_values, "agents", str, "4"))
-    ms_values = _float_list(_merge(args, file_values, "ms", str, "0.5"))
-    signal_values = _int_list(_merge(args, file_values, "signal", str, "1"))
-    trials = _merge(args, file_values, "trials", int, 8)
-    seed = _merge(args, file_values, "seed", int, 0)
-    episodes = _merge(args, file_values, "episodes", int, 5000)
-    t_max = _merge(args, file_values, "tmax", int, 500)
-    growth_rate = _merge(args, file_values, "growth-rate", float, 1.0)
-    e_max = _merge(args, file_values, "emax", float, 1.0)
-    out = _merge(args, file_values, "out", str, None)
-    hyper = _build_hyper(args, file_values)
-    if file_values:
-        raise CliError(f"{args.config}: unknown key(s): {', '.join(sorted(file_values))}")
+    given = {flag: getattr(args, flag.replace("-", "_")) for flag in ["out", *_RUN_FIELDS]}
+    settings = {flag: value for flag, value in given.items() if value is not None}
+    for key, text in (_parse_config_file(args.config) if args.config else {}).items():
+        flag = key.replace("_", "-")
+        if flag not in given:
+            raise CliError(f"{args.config}: unknown key {key!r}")
+        if flag not in settings:  # an explicit flag wins
+            settings[flag] = _run_flag_type(flag)(text)
+    out = settings.pop("out", None)
     if out is None:
         raise CliError("an output directory is required (--out)")
+    grid = [settings.pop(flag, default) for flag, default in _GRID_DEFAULTS.items()]
+    fields = {harness.ExperimentConfig: {}, PpoHyper: {}}
+    for flag, value in settings.items():
+        cls, name = _RUN_FIELDS[flag]
+        fields[cls][name] = value
+    hyper = PpoHyper(**fields[PpoHyper])
+    cell = fields[harness.ExperimentConfig]
     configs = [
-        harness.ExperimentConfig(
-            n_agents=n,
-            m_s=m_s,
-            signal_cardinality=g,
-            growth_rate=growth_rate,
-            e_max=e_max,
-            max_episodes=episodes,
-            t_max=t_max,
-            trials=trials,
-            base_seed=seed,
-            hyper=hyper,
-        )
-        for n in agents
-        for m_s in ms_values
-        for g in signal_values
+        harness.ExperimentConfig(n_agents=n, m_s=m_s, signal_cardinality=g, hyper=hyper, **cell)
+        for n, m_s, g in itertools.product(*grid)
     ]
     return configs, out
 
@@ -160,8 +146,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    import csv as _csv
-
     k = analytics.k_constant(args.growth_rate, args.emax)
     ms_grid = np.arange(args.ms_lo, args.ms_hi + 1e-12, args.ms_step)
     rows = []
@@ -181,11 +165,7 @@ def _cmd_baseline(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "baseline.csv", "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([harness._fmt(v) for v in row])
+        harness._write_csv(out / "baseline.csv", header, rows)
         print(f"wrote {out / 'baseline.csv'}")
     else:
         print(",".join(header))
@@ -207,15 +187,13 @@ def _cmd_limits(args) -> int:
 
 
 def _cmd_control(args) -> int:
-    params = harness.ExperimentConfig(
-        n_agents=args.agents,
-        m_s=args.ms,
-        signal_cardinality=1,
-        growth_rate=args.growth_rate,
-        e_max=args.emax,
-        price=args.price,
-        cost=args.cost,
-    ).env_params()
+    s_eq = args.seq
+    if s_eq is None:
+        s_eq = analytics.seq_from_multiplier(args.ms, args.agents, args.growth_rate, args.emax)
+    params = env.EnvParams(
+        n_agents=args.agents, s_eq=s_eq, growth_rate=args.growth_rate, e_max=args.emax,
+        price=args.price, cost=args.cost,
+    )
     sweep = control.forward_backward_sweep(params, args.horizon)
     status = "converged" if sweep.converged else "NOT converged"
     print(f"sweep: objective={sweep.objective:.9g} ({status}, {sweep.iterations} iterations)")
@@ -286,8 +264,9 @@ def build_parser() -> _Parser:
 
     control_p = sub.add_parser("control", help="optimal-control sweep and oracle")
     control_p.add_argument("--agents", type=int, default=1)
-    control_p.add_argument("--ms", type=float, default=None)
-    control_p.add_argument("--seq", type=float, default=None)
+    stock = control_p.add_mutually_exclusive_group()
+    stock.add_argument("--ms", type=float, default=1.0)
+    stock.add_argument("--seq", type=float)
     control_p.add_argument("--growth-rate", type=float, default=1.0)
     control_p.add_argument("--emax", type=float, default=1.0)
     control_p.add_argument("--price", type=float, default=1.0)
@@ -316,13 +295,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "command", None) == "control":
-            if args.ms is None and args.seq is None:
-                args.ms = 1.0
-            if args.seq is not None:
-                # express the requested absolute stock as a multiplier
-                k = analytics.k_constant(args.growth_rate, args.emax)
-                args.ms = args.seq / (k * args.agents)
         return args.func(args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

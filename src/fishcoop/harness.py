@@ -365,6 +365,11 @@ SUMMARY_COLUMNS = [
 ]
 
 
+def _mean_or_nan(values) -> float:
+    """The mean of one value per ok trial, or NaN for a cell with none."""
+    return float(np.mean(values)) if len(values) else math.nan
+
+
 def summarize(result: ExperimentResult) -> list[dict]:
     """Cell-level aggregate rows, including with/without-signal relative
     differences and t-test p-values where a no-signal partner cell exists."""
@@ -380,19 +385,15 @@ def summarize(result: ExperimentResult) -> list[dict]:
             "s_eq": cfg.s_eq,
             "trials": cfg.trials,
             "failed_trials": len(cell.trials) - len(ok),
-            "mean_social_welfare": float(np.mean(cell.trial_means("social_welfare")))
-            if ok
-            else math.nan,
-            "mean_length": float(np.mean(cell.trial_means("lengths"))) if ok else math.nan,
-            "mean_jain": float(np.mean(cell.trial_means("jain"))) if ok else math.nan,
-            "mean_gini": float(np.mean(cell.trial_means("gini"))) if ok else math.nan,
-            "mean_convergence_time": float(np.mean([t.convergence_time for t in ok]))
-            if ok
-            else math.nan,
-            "mean_cic": float(np.mean([t.cic_mean for t in ok])) if ok else math.nan,
-            "idle": float(np.mean([t.access[0] for t in ok])) if ok else math.nan,
-            "moderate": float(np.mean([t.access[1] for t in ok])) if ok else math.nan,
-            "active": float(np.mean([t.access[2] for t in ok])) if ok else math.nan,
+            "mean_social_welfare": _mean_or_nan(cell.trial_means("social_welfare")),
+            "mean_length": _mean_or_nan(cell.trial_means("lengths")),
+            "mean_jain": _mean_or_nan(cell.trial_means("jain")),
+            "mean_gini": _mean_or_nan(cell.trial_means("gini")),
+            "mean_convergence_time": _mean_or_nan([t.convergence_time for t in ok]),
+            "mean_cic": _mean_or_nan([t.cic_mean for t in ok]),
+            "idle": _mean_or_nan([t.access[0] for t in ok]),
+            "moderate": _mean_or_nan([t.access[1] for t in ok]),
+            "active": _mean_or_nan([t.access[2] for t in ok]),
             "sw_relative_difference": math.nan,
             "sw_p_value": math.nan,
         }

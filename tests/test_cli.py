@@ -1,6 +1,8 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from fishcoop import cli, harness
 from fishcoop.learner import DESK_HYPER, PpoAgent, PpoHyper, save_checkpoint
@@ -39,6 +41,10 @@ class TestControl:
         out = capsys.readouterr().out
         assert "brute force: objective=" in out
         assert "NOT optimal" not in out
+
+    def test_ms_and_seq_are_exclusive(self, capsys):
+        assert run_cli("control", "--ms", "0.5", "--seq", "1.0", "--horizon", "2") == 1
+        assert "not allowed with" in capsys.readouterr().err
 
 
 class TestBaseline:
@@ -112,6 +118,49 @@ class TestRunAndReplay:
             )
             for g in (1, 4)
         ]
+
+
+class TestRunSettings:
+    """A `run` flag and the config key of the same name set the same field."""
+
+    @staticmethod
+    def run_configs(tmp_path, *argv, config=None):
+        if config is not None:
+            path = tmp_path / "run.cfg"
+            path.write_text(config)
+            argv = ("--config", str(path), *argv)
+        return cli._run_configs(cli.build_parser().parse_args(["run", *argv]))
+
+    @pytest.mark.parametrize("key", ["kl-target", "kl_target", "growth-rate", "growth_rate"])
+    def test_config_key_matches_flag(self, tmp_path, key):
+        flag = "--" + key.replace("_", "-")
+        from_flag = self.run_configs(tmp_path, flag, "1.5", "--out", "x")
+        assert from_flag != self.run_configs(tmp_path, "--out", "x")
+        assert self.run_configs(tmp_path, "--out", "x", config=f"{key}=1.5\n") == from_flag
+
+    def test_defaults_live_in_the_dataclasses(self, tmp_path):
+        configs, out = self.run_configs(tmp_path, "--out", "x")
+        assert configs == [harness.ExperimentConfig(n_agents=4, m_s=0.5, signal_cardinality=1)]
+        assert out == "x"
+
+    def test_every_flag_is_a_config_key(self, tmp_path):
+        dests = vars(cli.build_parser().parse_args(["run"]))
+        flags = [d.replace("_", "-") for d in dests if d not in ("command", "func", "config")]
+        assert len(flags) == 21
+        from_flags = self.run_configs(tmp_path, *[a for f in flags for a in (f"--{f}", "2")])
+        (config,), out = from_flags
+        assert out == "2"
+        assert set(dataclasses.asdict(config.hyper).values()) == {2}
+        for sep in ("-", "_"):
+            text = "".join(f"{f.replace('-', sep)}=2\n" for f in flags)
+            assert self.run_configs(tmp_path, config=text) == from_flags
+
+    def test_integer_config_keys_reject_fractions(self, tmp_path, capsys):
+        for key in ("epochs", "minibatch", "steps_per_update", "trials"):
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{key}=2.5\nepisodes=1\nout={tmp_path / 'never'}\n")
+            assert run_cli("run", "--config", str(config)) == 1
+            assert not (tmp_path / "never").exists()
 
 
 class TestCicCommand:
