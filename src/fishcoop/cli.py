@@ -10,7 +10,7 @@ A ``run --config`` file is flat ``key=value`` text ('#' comments allowed). Its
 keys are the names of the ``run`` flags without the leading dashes, with ``-``
 and ``_`` interchangeable (``kl-target`` or ``kl_target``); a value is read
 as its flag's would be, explicit flags win over file values, and an unknown
-key is an error.
+key, or a key given twice in either spelling, is an error.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_config_file(path) -> dict[str, str]:
+    """The file's values keyed by flag name: each key with ``_`` read as ``-``."""
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -45,8 +46,11 @@ def _parse_config_file(path) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise CliError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            flag = key.replace("_", "-")
+            if flag in values:
+                raise CliError(f"{path}:{lineno}: key {key!r} is given twice")
+            values[flag] = value
     return values
 
 
@@ -108,16 +112,20 @@ def _run_configs(args) -> tuple[list[harness.ExperimentConfig], str]:
     config file."""
     given = {flag: getattr(args, flag.replace("-", "_")) for flag in ["out", *_RUN_FIELDS]}
     settings = {flag: value for flag, value in given.items() if value is not None}
-    for key, text in (_parse_config_file(args.config) if args.config else {}).items():
-        flag = key.replace("_", "-")
+    for flag, text in (_parse_config_file(args.config) if args.config else {}).items():
         if flag not in given:
-            raise CliError(f"{args.config}: unknown key {key!r}")
+            raise CliError(f"{args.config}: unknown key {flag!r}")
         if flag not in settings:  # an explicit flag wins
             settings[flag] = _run_flag_type(flag)(text)
     out = settings.pop("out", None)
     if out is None:
         raise CliError("an output directory is required (--out)")
     grid = [settings.pop(flag, default) for flag, default in _GRID_DEFAULTS.items()]
+    for flag, values in zip(_GRID_DEFAULTS, grid):
+        if not values:
+            raise CliError(f"--{flag} needs at least one value")
+        if len(set(values)) < len(values):
+            raise CliError(f"--{flag} repeats a value: {values}")
     fields = {harness.ExperimentConfig: {}, PpoHyper: {}}
     for flag, value in settings.items():
         cls, name = _RUN_FIELDS[flag]

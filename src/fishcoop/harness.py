@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analytics, env, metrics, signals
+from . import analytics, env, learner, metrics, signals
 from .learner import PpoAgent, PpoHyper, Trajectory, save_checkpoint
 
 MANIFEST_VERSION = 1
@@ -105,16 +105,24 @@ def run_episode(
 ):
     """Play one episode with all agents acting synchronously each step.
 
+    The agents act through one stacked policy (``learner.act``), a copy of
+    their parameters taken at the start of the episode.
+
     Returns (EpisodeRecord, actions array of shape (steps, N), signal index
     per step). When ``trajectories`` is given, per-agent transitions are
     appended to it; ``step_hook(state, outcome, source)`` runs after every
-    environment step (the training loop uses it for update cadence).
+    environment step (the training loop uses it for update cadence). The hook
+    returns true when it has changed any agent's parameters; the episode then
+    copies them again before the next step, and a false or None return keeps
+    the copy it has.
     """
     if len(agents) != params.n_agents:
         raise ValueError(f"need {params.n_agents} agents, got {len(agents)}")
     for agent in agents:
         if agent.g != signal_cardinality:
             raise ValueError("agent signal cardinality does not match the source")
+        if agent.e_max != params.e_max:
+            raise ValueError("agent effort range does not match the environment")
 
     offset = signals.new_episode_offset(rng, signal_cardinality)
     source = signals.SignalSource(signal_cardinality, offset)
@@ -123,22 +131,24 @@ def run_episode(
     actions_log = []
     signal_log = []
     reason = env.DoneReason.RUNNING
+    policy = learner.stack_params(agents)
+    rngs = [agent.rng for agent in agents]
 
     while True:
         obs = _observations(state, signals.one_hot(state.t, source))
-        steps = [agent.act(row) for agent, row in zip(agents, obs)]
-        efforts = np.array([effort for effort, _ in steps])
+        efforts, (raws, log_probs, values, means) = learner.act(policy, obs, rngs, params.e_max)
         state, outcome = env.step(state, efforts, params)
         returns += outcome.rewards
         actions_log.append(efforts)
         signal_log.append(signals.hot_index(state.t - 1, source))
         if trajectories is not None:
-            for n, (_, (raw, log_prob, value, mean)) in enumerate(steps):
-                trajectories[n].append(
-                    obs[n], raw, log_prob, value, mean, float(outcome.rewards[n]), outcome.done
+            for n, traj in enumerate(trajectories):
+                traj.append(
+                    obs[n], raws[n], log_probs[n], values[n], means[n],
+                    float(outcome.rewards[n]), outcome.done,
                 )
-        if step_hook is not None:
-            step_hook(state, outcome, source)
+        if step_hook is not None and step_hook(state, outcome, source):
+            policy = learner.stack_params(agents)
         if outcome.done:
             reason = outcome.done_reason
             break
@@ -211,13 +221,14 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
         steps_since_update += 1
         total_steps += 1
         if steps_since_update < config.hyper.steps_per_update:
-            return
+            return False
         obs = _observations(state, signals.one_hot(state.t, source))
+        _, values = learner.stacked_forward(learner.stack_params(agents), obs, config.e_max)
         for n, agent in enumerate(agents):
-            last_value = 0.0 if outcome.done else float(agent.forward(obs[n : n + 1])[1][0])
-            agent.update(buffers[n], last_value=last_value)
+            agent.update(buffers[n], last_value=0.0 if outcome.done else float(values[n]))
             buffers[n] = Trajectory()
         steps_since_update = 0
+        return True
 
     history: list[metrics.EpisodeRecord] = []
     recent_actions: deque = deque(maxlen=10)
@@ -335,8 +346,14 @@ def run_experiment(configs: list[ExperimentConfig]) -> ExperimentResult:
     """Run every cell of the grid for all its trials.
 
     Trials are independent (seeded from cell id and trial index), so the
-    execution order never affects any per-trial output.
+    execution order never affects any per-trial output. Cells that share an
+    id but differ in configuration would share seeds and output files, so
+    such a grid is rejected before any trial runs.
     """
+    by_id: dict[str, ExperimentConfig] = {}
+    clashes = sorted({c.cell_id for c in configs if by_id.setdefault(c.cell_id, c) != c})
+    if clashes:
+        raise ValueError(f"different cells share the id {', '.join(clashes)}")
     cells = []
     for config in configs:
         trials = [run_trial(config, k) for k in range(config.trials)]

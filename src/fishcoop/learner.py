@@ -82,7 +82,11 @@ class PolicyParams:
     """MLP weights held in one flat float64 vector, ``flat``. Layer sizes are
     (obs_dim, h1, h2). Each named field is a view into ``flat`` (the scalars
     ``b_mean``, ``b_value`` and ``log_std`` are 0-d views), and assigning a
-    field writes into ``flat``."""
+    field writes into ``flat``.
+
+    A stacked policy binds an (N, P) buffer instead, one agent's vector per
+    row. Every field then has a leading agent axis: ``w1`` is (N, h1, obs_dim)
+    and ``log_std`` is (N,)."""
 
     def __init__(self, w1, b1, w2, b2, w_mean, b_mean, w_value, b_value, log_std):
         w1, w2 = np.asarray(w1), np.asarray(w2)
@@ -95,11 +99,12 @@ class PolicyParams:
     def _bind(self, flat: np.ndarray, layer_sizes: tuple[int, int, int]) -> None:
         layer_sizes = tuple(layer_sizes)
         fields, size = _layout(layer_sizes)
-        if flat.shape != (size,):
+        if flat.ndim not in (1, 2) or flat.shape[-1] != size:
             raise ValueError(
-                f"flat vector of size {flat.size} does not match layers {layer_sizes}"
+                f"flat buffer of shape {flat.shape} does not match layers {layer_sizes}"
             )
-        views = {name: flat[sl].reshape(shape) for name, sl, shape in fields}
+        lead = flat.shape[:-1]
+        views = {name: flat[..., sl].reshape(lead + shape) for name, sl, shape in fields}
         self.__dict__.update(views, flat=flat, layer_sizes=layer_sizes)
 
     def __setattr__(self, name, value):
@@ -107,8 +112,9 @@ class PolicyParams:
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, layer_sizes: tuple[int, int, int]) -> "PolicyParams":
-        """Wrap ``flat`` without copying it (a contiguous float64 vector is
-        used as is, so the fields write through to it)."""
+        """Wrap ``flat``, a (P,) vector or a stacked (N, P) buffer, without
+        copying it (a contiguous float64 array is used as is, so the fields
+        write through to it)."""
         params = cls.__new__(cls)
         params._bind(np.ascontiguousarray(flat, dtype=float), layer_sizes)
         return params
@@ -118,6 +124,13 @@ class PolicyParams:
 
     def all_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.flat)))
+
+
+def stack_params(agents: list["PpoAgent"]) -> PolicyParams:
+    """A stacked (N, P) policy whose row n is a copy of agent n's parameters;
+    it does not follow later changes to the agents."""
+    flat = np.stack([agent.params.flat for agent in agents])
+    return PolicyParams.from_flat(flat, agents[0].params.layer_sizes)
 
 
 def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
@@ -149,12 +162,46 @@ def _sigmoid(x):
 
 
 def _forward_batch(params: PolicyParams, obs: np.ndarray, e_max: float):
-    """Vectorized forward pass with the activations needed for backprop."""
-    h1 = np.tanh(obs @ params.w1.T + params.b1)
-    h2 = np.tanh(h1 @ params.w2.T + params.b2)
-    mean = e_max * _sigmoid(h2 @ params.w_mean + params.b_mean)
-    value = h2 @ params.w_value + params.b_value
+    """Vectorized forward pass with the activations needed for backprop.
+
+    One agent's (rows, obs_dim) batch gives (rows,) means and values; a
+    stacked (N, P) policy with (N, rows, obs_dim) observations gives (N, rows),
+    each agent's row computed as in its own batch."""
+    h1 = np.tanh(obs @ np.swapaxes(params.w1, -1, -2) + params.b1[..., None, :])
+    h2 = np.tanh(h1 @ np.swapaxes(params.w2, -1, -2) + params.b2[..., None, :])
+    mean_in = (h2 @ params.w_mean[..., None])[..., 0] + params.b_mean[..., None]
+    mean = e_max * _sigmoid(mean_in)
+    value = (h2 @ params.w_value[..., None])[..., 0] + params.b_value[..., None]
     return mean, value, h1, h2
+
+
+def stacked_forward(policy: PolicyParams, obs: np.ndarray, e_max: float):
+    """Action means and values of N agents in one forward: a stacked (N, P)
+    policy, and row n of the (N, obs_dim) ``obs`` is agent n's observation.
+    Returns two (N,) arrays."""
+    means, values, _, _ = _forward_batch(policy, obs[:, None, :], e_max)
+    return means[:, 0], values[:, 0]
+
+
+def act(policy: PolicyParams, obs: np.ndarray, rngs: list, e_max: float):
+    """Sample one step of N agents from a stacked (N, P) policy, agent n at
+    observation row ``obs[n]`` drawing from ``rngs[n]``, in agent order.
+
+    Returns (efforts, (raws, log_probs, values, means)), each of length N:
+    the raw Gaussian draws clipped into [0, e_max], then the draws, their
+    log-probabilities, the value estimates and the action means."""
+    means, values = stacked_forward(policy, obs, e_max)
+    std = np.exp(policy.log_std)
+    if np.any(std <= 0):
+        raise ValueError(f"std must be positive, got {float(np.min(std))}")
+    # Python floats, one agent at a time: their ``**`` squares with libm's pow,
+    # which differs from NumPy's array square in the last bit of about 1 in
+    # 1000 draws, and stored log-probabilities steer every later update
+    mean_list, std_list = means.tolist(), std.tolist()
+    raws = [rng.normal(m, s) for rng, m, s in zip(rngs, mean_list, std_list)]
+    log_probs = [gaussian_log_prob(r, m, s) for r, m, s in zip(raws, mean_list, std_list)]
+    efforts = np.array([min(max(raw, 0.0), e_max) for raw in raws])
+    return efforts, (raws, log_probs, values, means)
 
 
 def gaussian_log_prob(x, mean, std):
@@ -428,14 +475,11 @@ class PpoAgent:
         """Sample this agent's effort for its observation row. Returns
         (effort, (raw, log_prob, value, mean)): the raw Gaussian draw, its
         log-probability, the value estimate and the action mean; the effort is
-        the raw draw clipped into [0, e_max]."""
-        means, values = self.forward(obs[None, :])
-        mean, value, std = float(means[0]), float(values[0]), self.std
-        if std <= 0:
-            raise ValueError(f"std must be positive, got {std}")
-        raw = float(self.rng.normal(mean, std))
-        effort = min(max(raw, 0.0), self.e_max)
-        return effort, (raw, float(gaussian_log_prob(raw, mean, std)), value, mean)
+        the raw draw clipped into [0, e_max]. It is the population ``act``
+        over this agent alone."""
+        policy = PolicyParams.from_flat(self.params.flat[None], self.params.layer_sizes)
+        efforts, steps = act(policy, obs[None], [self.rng], self.e_max)
+        return float(efforts[0]), tuple(float(column[0]) for column in steps)
 
     def sample_efforts(self, obs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
         """n clipped effort samples for one observation, drawn from ``rng``."""

@@ -163,6 +163,42 @@ class TestRunSettings:
             assert not (tmp_path / "never").exists()
 
 
+    @pytest.mark.parametrize(
+        "text", ["kl-target=0.05\nkl_target=0.2\n", "episodes=3\nepisodes=7\n"]
+    )
+    def test_config_key_given_twice_is_an_error(self, tmp_path, text):
+        with pytest.raises(cli.CliError, match="given twice"):
+            self.run_configs(tmp_path, "--out", "x", config=text)
+
+    @pytest.mark.parametrize("flag", ["agents", "ms", "signal"])
+    def test_empty_grid_axis_is_an_error(self, tmp_path, flag):
+        with pytest.raises(cli.CliError, match=f"--{flag}"):
+            self.run_configs(tmp_path, f"--{flag}", "", "--out", "x")
+        with pytest.raises(cli.CliError, match=f"--{flag}"):
+            self.run_configs(tmp_path, "--out", "x", config=f"{flag}=\n")
+
+
+class TestGridCells:
+    """A grid whose cells would share a cell id, or that has no cell, exits 1
+    before anything runs or is written."""
+
+    SHORT = ("--trials", "1", "--episodes", "1", "--tmax", "5")
+
+    @pytest.mark.parametrize(
+        "axes, named",
+        [
+            (("--agents", "2", "--ms", "0.5,0.5000001"), "n2_g1_ms0.5"),
+            (("--agents", "2,2"), "--agents"),
+            (("--agents", ""), "--agents"),
+        ],
+    )
+    def test_rejected_before_running(self, tmp_path, capsys, axes, named):
+        out = tmp_path / "never"
+        assert run_cli("run", *axes, *self.SHORT, "--out", str(out)) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCicCommand:
     def test_checkpoint_evaluation(self, tmp_path, capsys):
         agents = [

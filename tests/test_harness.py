@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from fishcoop import analytics, harness, learner, metrics
+from fishcoop import analytics, env, harness, learner, metrics, signals
 from fishcoop.env import DoneReason
-from fishcoop.learner import PpoAgent, PpoHyper
+from fishcoop.learner import PpoAgent, PpoHyper, Trajectory
 
 
 def no_update_hyper(**kw):
@@ -132,6 +132,87 @@ class TestRunEpisode:
         )
 
 
+class TestStackedRollout:
+    """run_episode acts through one stacked policy per step; a reference loop
+    with one ``agent.act(row)`` per agent must give the same bits."""
+
+    TRAJECTORY_FIELDS = ("obs", "raw_actions", "log_probs", "values", "means", "rewards", "dones")
+
+    @staticmethod
+    def reference_episode(params, agents, g, rng, trajectories, step_hook):
+        source = signals.SignalSource(g, signals.new_episode_offset(rng, g))
+        state = env.reset(params)
+        actions = []
+        while True:
+            obs = harness._observations(state, signals.one_hot(state.t, source))
+            steps = [agent.act(row) for agent, row in zip(agents, obs)]
+            efforts = np.array([effort for effort, _ in steps])
+            state, outcome = env.step(state, efforts, params)
+            actions.append(efforts)
+            for n, (_, draw) in enumerate(steps):
+                trajectories[n].append(
+                    obs[n], *draw, float(outcome.rewards[n]), outcome.done
+                )
+            step_hook(state, outcome, source)
+            if outcome.done:
+                return np.array(actions), outcome.done_reason
+
+    @staticmethod
+    def play(n, g, stacked):
+        # a lower std than at initialisation keeps the stock alive for some
+        # steps; it depletes before the horizon at these scarcities
+        m_s = {1: 0.7, 3: 0.5}[n]
+        params = tiny_config(n_agents=n, m_s=m_s, signal_cardinality=g, t_max=60).env_params()
+        agents = [
+            PpoAgent(g, 1.0, no_update_hyper(), np.random.default_rng([7, i]), hidden=(8, 8))
+            for i in range(n)
+        ]
+        for agent in agents:
+            agent.params.log_std = -1.0
+        trajectories = [Trajectory() for _ in agents]
+        hook_steps = []
+
+        def step_hook(state, outcome, source):
+            # after step 2 the last agent's mean head moves, in place: a
+            # policy stacked before it would keep the old mean
+            hook_steps.append(state.t)
+            if state.t != 2:
+                return False
+            agents[-1].params.b_mean += 3.0
+            return True
+
+        rng = np.random.default_rng(5)
+        if stacked:
+            record, actions, _ = harness.run_episode(
+                params, agents, g, rng, trajectories=trajectories, step_hook=step_hook
+            )
+            reason = record.done_reason
+        else:
+            actions, reason = TestStackedRollout.reference_episode(
+                params, agents, g, rng, trajectories, step_hook
+            )
+        return actions, reason, trajectories, agents, hook_steps
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("g", [1, 4])
+    def test_matches_per_agent_acts(self, n, g):
+        actions, reason, trajectories, agents, hook_steps = self.play(n, g, stacked=True)
+        ref_actions, ref_reason, ref_trajectories, ref_agents, ref_hook_steps = self.play(
+            n, g, stacked=False
+        )
+        assert reason is ref_reason is DoneReason.DEPLETED
+        assert len(actions) > 2 and hook_steps == ref_hook_steps
+        assert actions.tobytes() == ref_actions.tobytes()
+        for traj, ref in zip(trajectories, ref_trajectories):
+            for name in self.TRAJECTORY_FIELDS:
+                got = np.asarray(getattr(traj, name), dtype=float)
+                want = np.asarray(getattr(ref, name), dtype=float)
+                assert got.tobytes() == want.tobytes(), name
+        for agent, ref in zip(agents, ref_agents):
+            assert agent.rng.bit_generator.state == ref.rng.bit_generator.state
+            assert agent.params.flat.tobytes() == ref.params.flat.tobytes()
+
+
 class TestRunTrial:
     def test_zero_episodes(self):
         result = harness.run_trial(tiny_config(max_episodes=0), 0)
@@ -249,6 +330,15 @@ class TestExperimentAndSummary:
         for row in rows:
             assert np.isnan(row["sw_relative_difference"])
             assert np.isnan(row["sw_p_value"])
+
+    def test_cells_sharing_an_id_are_rejected_before_any_trial(self, monkeypatch):
+        # m_s 0.5 and 0.5000001 both print as ms0.5: one id, one seed, one directory
+        trials = []
+        monkeypatch.setattr(harness, "run_trial", lambda *args: trials.append(args))
+        configs = [tiny_config(m_s=0.5), tiny_config(m_s=0.5000001), tiny_config(m_s=0.6)]
+        with pytest.raises(ValueError, match="n2_g2_ms0.5"):
+            harness.run_experiment(configs)
+        assert trials == []
 
     def test_grid_rows_and_pairing(self):
         configs = [

@@ -367,6 +367,48 @@ class TestAct:
             assert log_prob == learner.gaussian_log_prob(raw, mean, agent.std)
 
 
+class TestStackedPolicy:
+    @staticmethod
+    def agents(n=3, g=2, seed=4):
+        return [
+            PpoAgent(g, 1.0, PpoHyper(), np.random.default_rng([seed, i]), hidden=(8, 8))
+            for i in range(n)
+        ]
+
+    def test_fields_gain_an_agent_axis(self):
+        agents = self.agents()
+        policy = learner.stack_params(agents)
+        assert policy.flat.shape == (3, agents[0].params.flat.size)
+        assert policy.w1.shape == (3, 8, 4) and policy.log_std.shape == (3,)
+        policy.b_mean[1] = 7.0  # views of the stacked buffer, not of the agents
+        assert policy.flat[1].tobytes() != agents[1].params.flat.tobytes()
+        assert agents[1].params.b_mean == 0.0
+
+    def test_act_matches_one_act_per_agent(self):
+        rng = np.random.default_rng(9)
+        stacked, single = self.agents(), self.agents()
+        policy = learner.stack_params(stacked)
+        for _ in range(50):
+            obs = np.column_stack(
+                (rng.uniform(0, 1, 3), rng.normal(size=3), np.eye(2)[rng.integers(0, 2, 3)])
+            )
+            efforts, steps = learner.act(policy, obs, [a.rng for a in stacked], 1.0)
+            got = [(float(efforts[n]), tuple(float(c[n]) for c in steps)) for n in range(3)]
+            assert got == [agent.act(row) for agent, row in zip(single, obs)]
+            means, values = learner.stacked_forward(policy, obs, 1.0)
+            for n, agent in enumerate(single):
+                (mean,), (value,) = agent.forward(obs[n : n + 1])
+                assert (means[n], values[n]) == (mean, value)
+
+    def test_invalid_std_of_any_agent(self):
+        agents = self.agents()
+        agents[2].params.log_std = -np.inf
+        with pytest.raises(ValueError, match="std must be positive"):
+            learner.act(
+                learner.stack_params(agents), np.zeros((3, 4)), [a.rng for a in agents], 1.0
+            )
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
