@@ -62,6 +62,14 @@ def _float_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip()]
 
 
+def _agent_counts(text: str) -> list[int]:
+    """The population sizes of ``--agents``: one or more, each at least 1."""
+    counts = _int_list(text)
+    if not counts or min(counts) < 1:
+        raise CliError(f"--agents needs one or more positive counts, got {text!r}")
+    return counts
+
+
 # Each `run` flag and the ExperimentConfig or PpoHyper field it sets. A flag,
 # or the config key of the same name, has its field's type; a setting given by
 # neither is left out of the constructor call, so the dataclass holds the only
@@ -154,10 +162,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
+    counts = _agent_counts(args.agents)
     k = analytics.k_constant(args.growth_rate, args.emax)
+    if not (np.isfinite(args.ms_step) and args.ms_step > 0):
+        raise CliError(f"--ms-step must be finite and positive, got {args.ms_step:g}")
     ms_grid = np.arange(args.ms_lo, args.ms_hi + 1e-12, args.ms_step)
+    if not len(ms_grid):
+        raise CliError(f"--ms-lo {args.ms_lo:g} to --ms-hi {args.ms_hi:g} holds no m_s value")
     rows = []
-    for n in _int_list(args.agents):
+    for n in counts:
         block = []
         for m_s in ms_grid:
             params = env.EnvParams(
@@ -183,7 +196,7 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_limits(args) -> int:
-    for n in _int_list(args.agents):
+    for n in _agent_counts(args.agents):
         limits = analytics.theory_limits(n, args.growth_rate, args.emax)
         print(
             f"N={n} r={args.growth_rate:g}: S_LSH={limits.s_lsh:.6f} "

@@ -47,6 +47,12 @@ class ExperimentConfig:
     base_seed: int = 0
     hyper: PpoHyper = field(default_factory=PpoHyper)
 
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
+        if self.max_episodes < 0:
+            raise ValueError(f"max_episodes must be at least 0, got {self.max_episodes}")
+
     @property
     def s_eq(self) -> float:
         return analytics.seq_from_multiplier(
@@ -105,16 +111,15 @@ def run_episode(
 ):
     """Play one episode with all agents acting synchronously each step.
 
-    The agents act through one stacked policy (``learner.act``), a copy of
-    their parameters taken at the start of the episode.
+    The agents act through one stacked policy (``learner.act``), stacked at
+    the start of the episode; their parameters are its rows from then on.
 
     Returns (EpisodeRecord, actions array of shape (steps, N), signal index
     per step). When ``trajectories`` is given, per-agent transitions are
     appended to it; ``step_hook(state, outcome, source)`` runs after every
-    environment step (the training loop uses it for update cadence). The hook
-    returns true when it has changed any agent's parameters; the episode then
-    copies them again before the next step, and a false or None return keeps
-    the copy it has.
+    environment step (the training loop uses it for update cadence). A hook
+    may change agents' parameters in place, as ``PpoAgent.update`` does, and
+    the next step acts on them; it must not rebind them (``stack_params``).
     """
     if len(agents) != params.n_agents:
         raise ValueError(f"need {params.n_agents} agents, got {len(agents)}")
@@ -147,8 +152,8 @@ def run_episode(
                     obs[n], raws[n], log_probs[n], values[n], means[n],
                     float(outcome.rewards[n]), outcome.done,
                 )
-        if step_hook is not None and step_hook(state, outcome, source):
-            policy = learner.stack_params(agents)
+        if step_hook is not None:
+            step_hook(state, outcome, source)
         if outcome.done:
             reason = outcome.done_reason
             break
@@ -212,23 +217,19 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
         for agent_rng in agent_rngs
     ]
     buffers = [Trajectory() for _ in agents]
-    steps_since_update = 0
     total_steps = 0
     start = time.perf_counter()
 
     def step_hook(state, outcome, source):
-        nonlocal steps_since_update, total_steps
-        steps_since_update += 1
+        nonlocal total_steps
         total_steps += 1
-        if steps_since_update < config.hyper.steps_per_update:
-            return False
+        if len(buffers[0]) < config.hyper.steps_per_update:
+            return
         obs = _observations(state, signals.one_hot(state.t, source))
-        _, values = learner.stacked_forward(learner.stack_params(agents), obs, config.e_max)
         for n, agent in enumerate(agents):
-            agent.update(buffers[n], last_value=0.0 if outcome.done else float(values[n]))
+            _, (value,) = agent.forward(obs[n : n + 1])
+            agent.update(buffers[n], last_value=0.0 if outcome.done else float(value))
             buffers[n] = Trajectory()
-        steps_since_update = 0
-        return True
 
     history: list[metrics.EpisodeRecord] = []
     recent_actions: deque = deque(maxlen=10)
@@ -272,17 +273,9 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
 
     if not failed and episodes_run < config.max_episodes:
         tail = slice(max(0, episodes_run - 200), episodes_run)
-        fill = {
-            "length": float(np.mean(lengths[tail])),
-            "sw": float(np.mean(sw[tail])),
-            "jain": float(np.mean(jain[tail])),
-            "gini": float(np.mean(gini[tail])),
-        }
         missing = config.max_episodes - episodes_run
-        lengths += [fill["length"]] * missing
-        sw += [fill["sw"]] * missing
-        jain += [fill["jain"]] * missing
-        gini += [fill["gini"]] * missing
+        for series in (lengths, sw, jain, gini):
+            series += [float(np.mean(series[tail]))] * missing
         reasons += [EXTRAPOLATED] * missing
 
     cic_mean = math.nan
@@ -497,38 +490,25 @@ def persist(result: ExperimentResult, out_dir) -> dict:
     for cell in result.cells:
         cell_dir = out / cell.config.cell_id
         cell_dir.mkdir(exist_ok=True)
-        rows = []
-        for trial in cell.trials:
-            for ep in range(len(trial.lengths)):
-                rows.append(
-                    [
-                        trial.trial,
-                        ep,
-                        trial.lengths[ep],
-                        trial.social_welfare[ep],
-                        trial.jain[ep],
-                        trial.gini[ep],
-                        trial.done_reasons[ep],
-                    ]
-                )
+        rows = [
+            [trial.trial, ep, *values]
+            for trial in cell.trials
+            for ep, values in enumerate(
+                zip(trial.lengths, trial.social_welfare, trial.jain, trial.gini, trial.done_reasons)
+            )
+        ]
         _write_csv(cell_dir / "episodes.csv", EPISODE_COLUMNS, rows)
 
-        n = cell.config.n_agents
-        profile_rows = []
-        representative = next(iter(cell.ok_trials()), None)
-        if representative is not None:
-            for g_value in range(cell.config.signal_cardinality):
-                profile_rows.append(
-                    [g_value] + list(representative.profile[g_value])
-                )
+        # the profile of the first ok trial stands for the cell
+        ok = cell.ok_trials()
+        profile_rows = [[g, *efforts] for g, efforts in enumerate(ok[0].profile)] if ok else []
         _write_csv(
             cell_dir / "profile.csv",
-            ["signal"] + [f"agent_{i}" for i in range(n)],
+            ["signal"] + [f"agent_{i}" for i in range(cell.config.n_agents)],
             profile_rows,
         )
-        for trial in cell.ok_trials():
-            if trial.agents is not None:
-                save_checkpoint(cell_dir / f"policy_trial{trial.trial}.ckpt", trial.agents)
+        for trial in ok:
+            save_checkpoint(cell_dir / f"policy_trial{trial.trial}.ckpt", trial.agents)
 
     summary_rows = summarize(result)
     _write_csv(

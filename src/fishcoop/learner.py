@@ -48,6 +48,10 @@ class PpoHyper:
     minibatch_size: int = 128
     steps_per_update: int = 4000
 
+    def __post_init__(self):
+        if self.minibatch_size < 1:
+            raise ValueError(f"minibatch_size must be at least 1, got {self.minibatch_size}")
+
 
 # Settings of the desk-scale experiments: the acceptance learning-trend check
 # trains with these, and configs/desk_grid.cfg spells them out as CLI keys
@@ -127,10 +131,15 @@ class PolicyParams:
 
 
 def stack_params(agents: list["PpoAgent"]) -> PolicyParams:
-    """A stacked (N, P) policy whose row n is a copy of agent n's parameters;
-    it does not follow later changes to the agents."""
-    flat = np.stack([agent.params.flat for agent in agents])
-    return PolicyParams.from_flat(flat, agents[0].params.layer_sizes)
+    """A stacked (N, P) policy holding the agents' parameters: each agent's
+    ``params`` becomes a view of its row, so a change made in place on either
+    side shows on the other. A later call rebinds the agents to a new buffer,
+    so an episode stacks once, at its start, and never mid-episode."""
+    layer_sizes = agents[0].params.layer_sizes
+    policy = PolicyParams.from_flat(np.stack([a.params.flat for a in agents]), layer_sizes)
+    for agent, row in zip(agents, policy.flat):
+        agent.params = PolicyParams.from_flat(row, layer_sizes)
+    return policy
 
 
 def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
@@ -488,10 +497,13 @@ class PpoAgent:
         return np.clip(draws, 0.0, self.e_max)
 
     def update(self, traj: Trajectory, last_value: float = 0.0) -> dict:
+        """One PPO update on ``traj``, written into ``params`` in place (never
+        rebound), so a stacked policy holding them acts on the result."""
         batch = traj.to_batch(self.hyper.gamma, self.hyper.gae_lambda, self.std, last_value)
-        self.params, self.adam, stats = ppo_update(
+        updated, self.adam, stats = ppo_update(
             self.params, batch, self.hyper, self.e_max, self.rng, self.adam
         )
+        self.params.flat[...] = updated.flat
         return stats
 
 

@@ -20,6 +20,12 @@ class TestLimits:
         out = capsys.readouterr().out
         assert "S_LSH" in out and "stable growth rates" in out
 
+    @pytest.mark.parametrize("agents", ["", "-3", "2,0"])
+    def test_bad_agents_exit_one(self, capsys, agents):
+        assert run_cli("limits", "--agents", agents) == 1
+        captured = capsys.readouterr()
+        assert "--agents" in captured.err and captured.out == ""
+
 
 class TestControl:
     def test_sweep_and_oracle(self, capsys):
@@ -58,6 +64,23 @@ class TestBaseline:
         text = (tmp_path / "base" / "baseline.csv").read_text()
         assert text.startswith("n_agents,m_s,s_eq,length,social_welfare,sw_normalized")
         assert len(text.strip().splitlines()) == 6
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("--agents", ""), "--agents"),
+            (("--agents", "-3"), "--agents"),
+            (("--ms-step", "0"), "--ms-step"),
+            (("--ms-step", "-0.1"), "--ms-step"),
+            (("--ms-step", "nan"), "--ms-step"),
+            (("--ms-step", "inf"), "--ms-step"),
+            (("--ms-lo", "2", "--ms-hi", "1"), "--ms-lo 2 to --ms-hi 1"),
+        ],
+    )
+    def test_bad_range_exits_one(self, capsys, argv, named):
+        assert run_cli("baseline", "--tmax", "5", *argv) == 1
+        captured = capsys.readouterr()
+        assert named in captured.err and captured.out == ""
 
 
 class TestRunAndReplay:
@@ -195,6 +218,21 @@ class TestGridCells:
     def test_rejected_before_running(self, tmp_path, capsys, axes, named):
         out = tmp_path / "never"
         assert run_cli("run", *axes, *self.SHORT, "--out", str(out)) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "setting, named",
+        [
+            (("--trials", "0"), "trials"),
+            (("--trials", "-1"), "trials"),
+            (("--episodes", "-3"), "max_episodes"),
+            (("--minibatch", "0", "--steps-per-update", "4"), "minibatch_size"),
+        ],
+    )
+    def test_bad_count_rejected_before_running(self, tmp_path, capsys, setting, named):
+        out = tmp_path / "never"
+        assert run_cli("run", *self.SHORT, *setting, "--out", str(out)) == 1
         assert named in capsys.readouterr().err
         assert not out.exists()
 

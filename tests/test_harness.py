@@ -158,7 +158,7 @@ class TestStackedRollout:
                 return np.array(actions), outcome.done_reason
 
     @staticmethod
-    def play(n, g, stacked):
+    def play(n, g, stacked, hook_result=None):
         # a lower std than at initialisation keeps the stock alive for some
         # steps; it depletes before the horizon at these scarcities
         m_s = {1: 0.7, 3: 0.5}[n]
@@ -173,13 +173,12 @@ class TestStackedRollout:
         hook_steps = []
 
         def step_hook(state, outcome, source):
-            # after step 2 the last agent's mean head moves, in place: a
-            # policy stacked before it would keep the old mean
+            # after step 2 the last agent's mean head moves, in place: the
+            # next step acts on it whatever the hook returns
             hook_steps.append(state.t)
-            if state.t != 2:
-                return False
-            agents[-1].params.b_mean += 3.0
-            return True
+            if state.t == 2:
+                agents[-1].params.b_mean += 3.0
+            return hook_result
 
         rng = np.random.default_rng(5)
         if stacked:
@@ -196,24 +195,35 @@ class TestStackedRollout:
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("g", [1, 4])
     def test_matches_per_agent_acts(self, n, g):
-        actions, reason, trajectories, agents, hook_steps = self.play(n, g, stacked=True)
         ref_actions, ref_reason, ref_trajectories, ref_agents, ref_hook_steps = self.play(
             n, g, stacked=False
         )
-        assert reason is ref_reason is DoneReason.DEPLETED
-        assert len(actions) > 2 and hook_steps == ref_hook_steps
-        assert actions.tobytes() == ref_actions.tobytes()
-        for traj, ref in zip(trajectories, ref_trajectories):
-            for name in self.TRAJECTORY_FIELDS:
-                got = np.asarray(getattr(traj, name), dtype=float)
-                want = np.asarray(getattr(ref, name), dtype=float)
-                assert got.tobytes() == want.tobytes(), name
-        for agent, ref in zip(agents, ref_agents):
-            assert agent.rng.bit_generator.state == ref.rng.bit_generator.state
-            assert agent.params.flat.tobytes() == ref.params.flat.tobytes()
+        for hook_result in (True, None):
+            actions, reason, trajectories, agents, hook_steps = self.play(
+                n, g, stacked=True, hook_result=hook_result
+            )
+            assert reason is ref_reason is DoneReason.DEPLETED
+            assert len(actions) > 2 and hook_steps == ref_hook_steps
+            assert actions.tobytes() == ref_actions.tobytes()
+            for traj, ref in zip(trajectories, ref_trajectories):
+                for name in self.TRAJECTORY_FIELDS:
+                    got = np.asarray(getattr(traj, name), dtype=float)
+                    want = np.asarray(getattr(ref, name), dtype=float)
+                    assert got.tobytes() == want.tobytes(), name
+            for agent, ref in zip(agents, ref_agents):
+                assert agent.rng.bit_generator.state == ref.rng.bit_generator.state
+                assert agent.params.flat.tobytes() == ref.params.flat.tobytes()
 
 
 class TestRunTrial:
+    @pytest.mark.parametrize(
+        "setting", [{"trials": 0}, {"trials": -1}, {"max_episodes": -3}]
+    )
+    def test_rejects_bad_counts(self, setting):
+        (name,) = setting
+        with pytest.raises(ValueError, match=name):
+            tiny_config(**setting)
+
     def test_zero_episodes(self):
         result = harness.run_trial(tiny_config(max_episodes=0), 0)
         assert result.episodes_run == 0

@@ -54,6 +54,12 @@ def test_hyper_defaults():
     assert hyper.entropy_coeff == 0.0
 
 
+@pytest.mark.parametrize("size", [0, -1])
+def test_hyper_rejects_empty_minibatch(size):
+    with pytest.raises(ValueError, match="minibatch_size"):
+        PpoHyper(minibatch_size=size)
+
+
 def test_default_hidden_widths():
     agent = PpoAgent(2, 1.0, PpoHyper(), np.random.default_rng(0))
     assert agent.params.layer_sizes == (4, 64, 64)
@@ -377,12 +383,34 @@ class TestStackedPolicy:
 
     def test_fields_gain_an_agent_axis(self):
         agents = self.agents()
+        before = [agent.params.to_flat() for agent in agents]
         policy = learner.stack_params(agents)
-        assert policy.flat.shape == (3, agents[0].params.flat.size)
+        assert policy.flat.shape == (3, before[0].size)
         assert policy.w1.shape == (3, 8, 4) and policy.log_std.shape == (3,)
-        policy.b_mean[1] = 7.0  # views of the stacked buffer, not of the agents
-        assert policy.flat[1].tobytes() != agents[1].params.flat.tobytes()
-        assert agents[1].params.b_mean == 0.0
+        assert policy.flat.tobytes() == np.stack(before).tobytes()
+        # the agents' parameters are rows of the stacked buffer, both ways
+        policy.b_mean[1] = 7.0
+        assert agents[1].params.b_mean == 7.0
+        agents[2].params.log_std = -0.5
+        assert policy.log_std[2] == -0.5
+        assert all(np.shares_memory(a.params.flat, row) for a, row in zip(agents, policy.flat))
+
+    def test_agent_update_reaches_the_policy(self):
+        agents, single = self.agents(), self.agents()
+        policy = learner.stack_params(agents)
+        before = policy.to_flat()
+        obs = np.column_stack((np.full(3, 0.4), np.full(3, 0.2), np.tile([1.0, 0.0], (3, 1))))
+        traj = Trajectory()
+        for t in range(16):
+            traj.append(obs[0], 0.05 * t, -1.0, 0.0, 0.5, 1.0 - 0.05 * t, t == 15)
+        agents[0].update(traj)
+        single[0].update(traj)
+        assert policy.flat[0].tobytes() == single[0].params.flat.tobytes()
+        assert policy.flat[0].tobytes() != before[0].tobytes()
+        assert policy.flat[1:].tobytes() == before[1:].tobytes()
+        efforts, steps = learner.act(policy, obs, [a.rng for a in agents], 1.0)
+        got = [(float(efforts[n]), tuple(float(c[n]) for c in steps)) for n in range(3)]
+        assert got == [agent.act(row) for agent, row in zip(single, obs)]
 
     def test_act_matches_one_act_per_agent(self):
         rng = np.random.default_rng(9)
