@@ -163,7 +163,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_baseline(args) -> int:
     counts = _agent_counts(args.agents)
-    k = analytics.k_constant(args.growth_rate, args.emax)
     if not (np.isfinite(args.ms_step) and args.ms_step > 0):
         raise CliError(f"--ms-step must be finite and positive, got {args.ms_step:g}")
     ms_grid = np.arange(args.ms_lo, args.ms_hi + 1e-12, args.ms_step)
@@ -172,13 +171,14 @@ def _cmd_baseline(args) -> int:
     rows = []
     for n in counts:
         block = []
-        for m_s in ms_grid:
+        for m_s in ms_grid.tolist():
+            s_eq = analytics.seq_from_multiplier(m_s, n, args.growth_rate, args.emax)
             params = env.EnvParams(
-                n_agents=n, s_eq=float(m_s * k * n), growth_rate=args.growth_rate,
-                e_max=args.emax, max_steps=args.tmax,
+                n_agents=n, s_eq=s_eq, growth_rate=args.growth_rate, e_max=args.emax,
+                max_steps=args.tmax,
             )
             res = analytics.max_effort_baseline(params, args.tmax)
-            block.append([n, float(m_s), params.s_eq, res.length, res.social_welfare])
+            block.append([n, m_s, s_eq, res.length, res.social_welfare])
         top = max(row[4] for row in block)
         rows += [row + [row[4] / top if top else 0.0] for row in block]
 

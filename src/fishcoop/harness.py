@@ -26,6 +26,8 @@ from .learner import PpoAgent, PpoHyper, Trajectory, save_checkpoint
 
 MANIFEST_VERSION = 1
 EXTRAPOLATED = "extrapolated"
+# A trial's final metrics are means over its last RECENT_EPISODES episodes.
+RECENT_EPISODES = 10
 
 
 @dataclass(frozen=True)
@@ -36,18 +38,23 @@ class ExperimentConfig:
     n_agents: int
     m_s: float
     signal_cardinality: int
-    growth_rate: float = 1.0
-    e_max: float = 1.0
-    price: float = 1.0
-    cost: float = 0.0
-    depletion_threshold: float = 1e-4
+    growth_rate: float = env.EnvParams.growth_rate
+    e_max: float = env.EnvParams.e_max
+    price: float = env.EnvParams.price
+    cost: float = env.EnvParams.cost
+    depletion_threshold: float = env.EnvParams.depletion_threshold
     max_episodes: int = 5000
-    t_max: int = 500
+    t_max: int = env.EnvParams.max_steps
     trials: int = 8
     base_seed: int = 0
     hyper: PpoHyper = field(default_factory=PpoHyper)
 
     def __post_init__(self):
+        if self.signal_cardinality < 1:
+            raise ValueError(
+                f"signal_cardinality must be at least 1, got {self.signal_cardinality}"
+            )
+        self.env_params()  # the model's own checks, before any trial runs
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.max_episodes < 0:
@@ -200,15 +207,15 @@ class TrialResult:
 
     def last10(self, key: str) -> float:
         arr = getattr(self, key)
-        return float(np.mean(arr[-10:])) if len(arr) else math.nan
+        return float(np.mean(arr[-RECENT_EPISODES:])) if len(arr) else math.nan
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
     """Train one seed of one cell: episode loop with step-count PPO cadence,
-    early stopping on the convergence criterion, and last-200 extrapolation
-    of the remaining episode metrics. An exception in the episode loop (a
-    diverged update, a non-finite action) marks only this trial failed and
-    is kept in its ``error``."""
+    early stopping on the convergence criterion, and extrapolation of the
+    remaining episode metrics from the means over the last convergence window.
+    An exception in the episode loop (a diverged update, a non-finite action)
+    marks only this trial failed and is kept in its ``error``."""
     seed = trial_seed(config.base_seed, config.cell_id, trial_index)
     env_rng, eval_rng, agent_rngs = _spawn_streams(seed, config.n_agents)
     params = config.env_params()
@@ -232,7 +239,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
             buffers[n] = Trajectory()
 
     history: list[metrics.EpisodeRecord] = []
-    recent_actions: deque = deque(maxlen=10)
+    recent_actions: deque = deque(maxlen=RECENT_EPISODES)
     profile = np.full((config.signal_cardinality, config.n_agents), np.nan)
     converged = False
     failed = False
@@ -272,7 +279,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
     reasons = [r.done_reason.value for r in history]
 
     if not failed and episodes_run < config.max_episodes:
-        tail = slice(max(0, episodes_run - 200), episodes_run)
+        tail = slice(max(0, episodes_run - metrics.CONVERGENCE_WINDOW), episodes_run)
         missing = config.max_episodes - episodes_run
         for series in (lengths, sw, jain, gini):
             series += [float(np.mean(series[tail]))] * missing

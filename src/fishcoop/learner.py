@@ -49,8 +49,12 @@ class PpoHyper:
     steps_per_update: int = 4000
 
     def __post_init__(self):
-        if self.minibatch_size < 1:
-            raise ValueError(f"minibatch_size must be at least 1, got {self.minibatch_size}")
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        for name in ("epochs_per_update", "minibatch_size", "steps_per_update"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 # Settings of the desk-scale experiments: the acceptance learning-trend check
@@ -86,30 +90,13 @@ class PolicyParams:
     """MLP weights held in one flat float64 vector, ``flat``. Layer sizes are
     (obs_dim, h1, h2). Each named field is a view into ``flat`` (the scalars
     ``b_mean``, ``b_value`` and ``log_std`` are 0-d views), and assigning a
-    field writes into ``flat``.
+    field writes into ``flat``. ``from_flat`` is the only constructor: a new
+    set of parameters (or of gradients) is a buffer of the ``_layout`` size
+    wrapped by it.
 
     A stacked policy binds an (N, P) buffer instead, one agent's vector per
     row. Every field then has a leading agent axis: ``w1`` is (N, h1, obs_dim)
     and ``log_std`` is (N,)."""
-
-    def __init__(self, w1, b1, w2, b2, w_mean, b_mean, w_value, b_value, log_std):
-        w1, w2 = np.asarray(w1), np.asarray(w2)
-        layer_sizes = (w1.shape[1], w1.shape[0], w2.shape[0])
-        self._bind(np.empty(_layout(layer_sizes)[1]), layer_sizes)
-        self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
-        self.w_mean, self.b_mean, self.w_value, self.b_value = w_mean, b_mean, w_value, b_value
-        self.log_std = log_std
-
-    def _bind(self, flat: np.ndarray, layer_sizes: tuple[int, int, int]) -> None:
-        layer_sizes = tuple(layer_sizes)
-        fields, size = _layout(layer_sizes)
-        if flat.ndim not in (1, 2) or flat.shape[-1] != size:
-            raise ValueError(
-                f"flat buffer of shape {flat.shape} does not match layers {layer_sizes}"
-            )
-        lead = flat.shape[:-1]
-        views = {name: flat[..., sl].reshape(lead + shape) for name, sl, shape in fields}
-        self.__dict__.update(views, flat=flat, layer_sizes=layer_sizes)
 
     def __setattr__(self, name, value):
         getattr(self, name)[...] = value
@@ -119,15 +106,21 @@ class PolicyParams:
         """Wrap ``flat``, a (P,) vector or a stacked (N, P) buffer, without
         copying it (a contiguous float64 array is used as is, so the fields
         write through to it)."""
+        flat = np.ascontiguousarray(flat, dtype=float)
+        layer_sizes = tuple(layer_sizes)
+        fields, size = _layout(layer_sizes)
+        if flat.ndim not in (1, 2) or flat.shape[-1] != size:
+            raise ValueError(
+                f"flat buffer of shape {flat.shape} does not match layers {layer_sizes}"
+            )
+        lead = flat.shape[:-1]
+        views = {name: flat[..., sl].reshape(lead + shape) for name, sl, shape in fields}
         params = cls.__new__(cls)
-        params._bind(np.ascontiguousarray(flat, dtype=float), layer_sizes)
+        params.__dict__.update(views, flat=flat, layer_sizes=layer_sizes)
         return params
 
     def to_flat(self) -> np.ndarray:
         return self.flat.copy()
-
-    def all_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.flat)))
 
 
 def stack_params(agents: list["PpoAgent"]) -> PolicyParams:
@@ -153,17 +146,13 @@ def init_policy_params(
     """Glorot-uniform trunk; the mean head is scaled down so the initial
     action mean sits near the middle of the effort range for any input."""
     h1, h2 = hidden
-    return PolicyParams(
-        w1=_glorot(rng, h1, obs_dim),
-        b1=np.zeros(h1),
-        w2=_glorot(rng, h2, h1),
-        b2=np.zeros(h2),
-        w_mean=0.01 * _glorot(rng, 1, h2)[0],
-        b_mean=0.0,
-        w_value=_glorot(rng, 1, h2)[0],
-        b_value=0.0,
-        log_std=0.0,
-    )
+    layer_sizes = (obs_dim, h1, h2)
+    params = PolicyParams.from_flat(np.zeros(_layout(layer_sizes)[1]), layer_sizes)
+    params.w1 = _glorot(rng, h1, obs_dim)
+    params.w2 = _glorot(rng, h2, h1)
+    params.w_mean = 0.01 * _glorot(rng, 1, h2)[0]
+    params.w_value = _glorot(rng, 1, h2)[0]
+    return params
 
 
 def _sigmoid(x):
@@ -249,37 +238,27 @@ def gae_advantages(
 
 @dataclass
 class Trajectory:
-    """Per-step rollout storage for one agent."""
+    """One agent's rollout: one (obs, raw, log_prob, value, mean, reward,
+    done) tuple per step, in step order."""
 
-    obs: list = field(default_factory=list)
-    raw_actions: list = field(default_factory=list)
-    log_probs: list = field(default_factory=list)
-    values: list = field(default_factory=list)
-    means: list = field(default_factory=list)
-    rewards: list = field(default_factory=list)
-    dones: list = field(default_factory=list)
+    steps: list = field(default_factory=list)
 
     def append(self, obs, raw, log_prob, value, mean, reward, done):
-        self.obs.append(obs)
-        self.raw_actions.append(raw)
-        self.log_probs.append(log_prob)
-        self.values.append(value)
-        self.means.append(mean)
-        self.rewards.append(reward)
-        self.dones.append(done)
+        self.steps.append((obs, raw, log_prob, value, mean, reward, done))
 
     def __len__(self):
-        return len(self.rewards)
+        return len(self.steps)
 
     def to_batch(self, gamma: float, lam: float, std: float, last_value: float = 0.0) -> dict:
-        advantages, returns = gae_advantages(
-            self.rewards, self.values, self.dones, gamma, lam, last_value
-        )
+        if not self.steps:
+            raise ValueError("empty batch: the trajectory holds no steps")
+        obs, raws, log_probs, values, means, rewards, dones = zip(*self.steps)
+        advantages, returns = gae_advantages(rewards, values, dones, gamma, lam, last_value)
         return {
-            "obs": np.asarray(self.obs, dtype=float),
-            "raw_actions": np.asarray(self.raw_actions, dtype=float),
-            "old_log_probs": np.asarray(self.log_probs, dtype=float),
-            "old_means": np.asarray(self.means, dtype=float),
+            "obs": np.asarray(obs, dtype=float),
+            "raw_actions": np.asarray(raws, dtype=float),
+            "old_log_probs": np.asarray(log_probs, dtype=float),
+            "old_means": np.asarray(means, dtype=float),
             "old_std": float(std),
             "advantages": advantages,
             "returns": returns,
@@ -296,8 +275,10 @@ def ppo_loss_and_grads(
     hyper: PpoHyper,
     e_max: float,
 ) -> tuple[float, PolicyParams, dict]:
-    """Total PPO loss and its analytic gradient (a PolicyParams of grads, so
-    ``grads.flat`` has the same layout as ``params.flat``).
+    """Total PPO loss and its analytic gradient. The gradient is written into
+    a fresh buffer of ``params.flat``'s layout and returned wrapped as a
+    PolicyParams, so ``grads.flat`` lines up with ``params.flat`` entry by
+    entry.
 
     Loss = -mean(min(ratio*A, clip(ratio)*A))
            + vf_coeff * mean(min((V - R)^2, vf_clip))
@@ -324,38 +305,28 @@ def ppo_loss_and_grads(
     # --- backward ---
     take_unclipped = unclipped <= clipped
     d_log_probs = -(1.0 / n) * advantages * ratio * take_unclipped
+    grads = PolicyParams.from_flat(np.empty_like(params.flat), params.layer_sizes)
     d_mean = d_log_probs * (raw_actions - mean) / std**2
-    d_log_std = float(np.sum(d_log_probs * (((raw_actions - mean) / std) ** 2 - 1.0)))
-    d_log_std -= hyper.entropy_coeff
+    grads.log_std = np.sum(d_log_probs * (((raw_actions - mean) / std) ** 2 - 1.0))
+    grads.log_std -= hyper.entropy_coeff
 
     d_value = hyper.vf_coeff * (2.0 / n) * vf_err * (vf_sq < hyper.vf_clip)
 
     d_mean_raw = d_mean * mean * (1.0 - mean / e_max)  # sigmoid head chain rule
-    g_w_mean = h2.T @ d_mean_raw
-    g_b_mean = float(np.sum(d_mean_raw))
-    g_w_value = h2.T @ d_value
-    g_b_value = float(np.sum(d_value))
+    grads.w_mean = h2.T @ d_mean_raw
+    grads.b_mean = np.sum(d_mean_raw)
+    grads.w_value = h2.T @ d_value
+    grads.b_value = np.sum(d_value)
 
     d_h2 = np.outer(d_mean_raw, params.w_mean) + np.outer(d_value, params.w_value)
     d_z2 = d_h2 * (1.0 - h2**2)
-    g_w2 = d_z2.T @ h1
-    g_b2 = d_z2.sum(axis=0)
+    grads.w2 = d_z2.T @ h1
+    grads.b2 = d_z2.sum(axis=0)
     d_h1 = d_z2 @ params.w2
     d_z1 = d_h1 * (1.0 - h1**2)
-    g_w1 = d_z1.T @ obs
-    g_b1 = d_z1.sum(axis=0)
+    grads.w1 = d_z1.T @ obs
+    grads.b1 = d_z1.sum(axis=0)
 
-    grads = PolicyParams(
-        w1=g_w1,
-        b1=g_b1,
-        w2=g_w2,
-        b2=g_b2,
-        w_mean=g_w_mean,
-        b_mean=g_b_mean,
-        w_value=g_w_value,
-        b_value=g_b_value,
-        log_std=d_log_std,
-    )
     clip_fraction = float(np.mean(~take_unclipped))
     stats = {
         "policy_loss": policy_loss,

@@ -124,26 +124,24 @@ def access_bins(mean_efforts: np.ndarray, e_max: float) -> tuple[int, int, int]:
     return idle, moderate, active
 
 
-def convergence_check(
-    history: list[EpisodeRecord],
-    t_max: int,
-    window: int = 200,
-    smooth: int | None = None,
-    sw_tol: float = 0.05,
-    min_length_frac: float = 0.95,
-) -> bool:
-    """Early-stopping test over the last ``window`` episodes: every episode
-    ran at least 95% of the horizon, and the rolling-mean social welfare
+# The early-stopping criterion of convergence_check.
+CONVERGENCE_WINDOW = 200
+CONVERGENCE_SMOOTH = CONVERGENCE_WINDOW // 10
+CONVERGENCE_MIN_LENGTH_FRAC = 0.95
+
+
+def convergence_check(history: list[EpisodeRecord], t_max: int, sw_tol: float = 0.05) -> bool:
+    """Early-stopping test over the last ``CONVERGENCE_WINDOW`` episodes:
+    every episode ran at least ``CONVERGENCE_MIN_LENGTH_FRAC`` of the horizon,
+    and the social welfare's rolling mean over ``CONVERGENCE_SMOOTH`` episodes
     drifts by at most ``sw_tol`` of the window mean (max-min spread)."""
-    if len(history) < window:
+    if len(history) < CONVERGENCE_WINDOW:
         return False
-    recent = history[-window:]
-    if any(rec.length < min_length_frac * t_max for rec in recent):
+    recent = history[-CONVERGENCE_WINDOW:]
+    if any(rec.length < CONVERGENCE_MIN_LENGTH_FRAC * t_max for rec in recent):
         return False
     sw = np.array([rec.social_welfare for rec in recent])
-    if smooth is None:
-        smooth = max(1, window // 10)
-    kernel = np.ones(smooth) / smooth
+    kernel = np.ones(CONVERGENCE_SMOOTH) / CONVERGENCE_SMOOTH
     rolling = np.convolve(sw, kernel, mode="valid")
     window_mean = float(np.mean(sw))
     if window_mean == 0.0:

@@ -228,9 +228,24 @@ class TestGridCells:
             (("--trials", "-1"), "trials"),
             (("--episodes", "-3"), "max_episodes"),
             (("--minibatch", "0", "--steps-per-update", "4"), "minibatch_size"),
+            (("--signal", "0"), "signal_cardinality"),
+            (("--signal", "4,0"), "signal_cardinality"),
+            (("--ms", "0.5,0"), "s_eq"),
+            (("--agents", "2,0"), "n_agents"),
+            (("--lr", "nan"), "learning_rate"),
+            (("--gamma", "inf"), "gamma"),
+            (("--epochs", "0"), "epochs_per_update"),
+            (("--steps-per-update", "0"), "steps_per_update"),
         ],
     )
-    def test_bad_count_rejected_before_running(self, tmp_path, capsys, setting, named):
+    def test_bad_count_rejected_before_running(
+        self, tmp_path, capsys, monkeypatch, setting, named
+    ):
+        # every cell is checked before the first trial of the first cell
+        def run_trial(config, trial_index):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", run_trial)
         out = tmp_path / "never"
         assert run_cli("run", *self.SHORT, *setting, "--out", str(out)) == 1
         assert named in capsys.readouterr().err

@@ -136,8 +136,6 @@ class TestStackedRollout:
     """run_episode acts through one stacked policy per step; a reference loop
     with one ``agent.act(row)`` per agent must give the same bits."""
 
-    TRAJECTORY_FIELDS = ("obs", "raw_actions", "log_probs", "values", "means", "rewards", "dones")
-
     @staticmethod
     def reference_episode(params, agents, g, rng, trajectories, step_hook):
         source = signals.SignalSource(g, signals.new_episode_offset(rng, g))
@@ -206,10 +204,10 @@ class TestStackedRollout:
             assert len(actions) > 2 and hook_steps == ref_hook_steps
             assert actions.tobytes() == ref_actions.tobytes()
             for traj, ref in zip(trajectories, ref_trajectories):
-                for name in self.TRAJECTORY_FIELDS:
-                    got = np.asarray(getattr(traj, name), dtype=float)
-                    want = np.asarray(getattr(ref, name), dtype=float)
-                    assert got.tobytes() == want.tobytes(), name
+                assert len(traj) == len(ref)
+                for (obs, *step), (ref_obs, *ref_step) in zip(traj.steps, ref.steps):
+                    assert obs.tobytes() == ref_obs.tobytes()
+                    assert np.array(step).tobytes() == np.array(ref_step).tobytes()
             for agent, ref in zip(agents, ref_agents):
                 assert agent.rng.bit_generator.state == ref.rng.bit_generator.state
                 assert agent.params.flat.tobytes() == ref.params.flat.tobytes()
@@ -217,7 +215,11 @@ class TestStackedRollout:
 
 class TestRunTrial:
     @pytest.mark.parametrize(
-        "setting", [{"trials": 0}, {"trials": -1}, {"max_episodes": -3}]
+        "setting",
+        [
+            {"trials": 0}, {"trials": -1}, {"max_episodes": -3},
+            {"signal_cardinality": 0}, {"n_agents": 0}, {"m_s": -1.0}, {"growth_rate": 3.0},
+        ],
     )
     def test_rejects_bad_counts(self, setting):
         (name,) = setting

@@ -6,18 +6,8 @@ from fishcoop.learner import PolicyParams, PpoAgent, PpoHyper, Trajectory
 
 
 def zero_params(obs_dim, hidden=(8, 8)):
-    h1, h2 = hidden
-    return PolicyParams(
-        w1=np.zeros((h1, obs_dim)),
-        b1=np.zeros(h1),
-        w2=np.zeros((h2, h1)),
-        b2=np.zeros(h2),
-        w_mean=np.zeros(h2),
-        b_mean=0.0,
-        w_value=np.zeros(h2),
-        b_value=0.0,
-        log_std=0.0,
-    )
+    layer_sizes = (obs_dim, *hidden)
+    return PolicyParams.from_flat(np.zeros(learner._layout(layer_sizes)[1]), layer_sizes)
 
 
 def random_batch(params, rng, n=32, e_max=1.0, ratio_jitter=0.2):
@@ -58,6 +48,22 @@ def test_hyper_defaults():
 def test_hyper_rejects_empty_minibatch(size):
     with pytest.raises(ValueError, match="minibatch_size"):
         PpoHyper(minibatch_size=size)
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"learning_rate": float("nan")},
+        {"gamma": float("inf")},
+        {"clip": -float("inf")},
+        {"epochs_per_update": 0},
+        {"steps_per_update": 0},
+    ],
+)
+def test_hyper_rejects_settings_that_cannot_train(setting):
+    (name,) = setting
+    with pytest.raises(ValueError, match=name):
+        PpoHyper(**setting)
 
 
 def test_default_hidden_widths():
@@ -258,7 +264,7 @@ class TestPpoUpdate:
             )
             rng = np.random.default_rng(seed + 100)
             traj = self.collect(agent, rng, steps=256, reward_fn=lambda e: 1.0 - e, bandit=True)
-            obs = np.asarray(traj.obs)
+            obs = traj.to_batch(1.0, 1.0, agent.std)["obs"]
             before_mean = learner._forward_batch(agent.params, obs, 1.0)[0].mean()
             agent.update(traj)
             after_mean = learner._forward_batch(agent.params, obs, 1.0)[0].mean()
@@ -318,6 +324,13 @@ class TestPpoUpdate:
                 agent.params, batch, agent.hyper, 1.0, np.random.default_rng(0)
             )
 
+    def test_empty_trajectory_rejected(self):
+        agent = self.make_agent()
+        before = agent.params.to_flat()
+        with pytest.raises(ValueError, match="empty batch"):
+            agent.update(Trajectory())
+        assert np.array_equal(agent.params.flat, before)
+
     def test_parameters_stay_finite_over_many_updates(self):
         agent = self.make_agent(epochs_per_update=1, minibatch_size=64)
         rng = np.random.default_rng(9)
@@ -328,7 +341,7 @@ class TestPpoUpdate:
             agent.params, agent.adam, _ = learner.ppo_update(
                 agent.params, batch, agent.hyper, 1.0, rng, agent.adam
             )
-        assert agent.params.all_finite()
+        assert np.isfinite(agent.params.flat).all()
 
     def test_updates_are_independent_across_agents(self):
         a = self.make_agent(seed=0)
