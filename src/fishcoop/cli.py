@@ -234,16 +234,17 @@ def _cmd_control(args) -> int:
 
 def _cmd_cic(args) -> int:
     agents = load_checkpoint(args.checkpoint, e_max=args.emax)
+    e_max = agents[0].e_max
     rng = np.random.default_rng(args.seed)
     config = metrics.CicConfig(n_states=args.states, n_samples=args.samples, n_bins=args.bins)
     values = []
     for i, agent in enumerate(agents):
         value = metrics.cic(
             agent.sample_efforts,
-            metrics.uniform_partial_state(args.emax),
+            metrics.uniform_partial_state(e_max),
             config,
             agent.g,
-            args.emax,
+            e_max,
             rng,
         )
         values.append(value)
@@ -297,7 +298,9 @@ def build_parser() -> _Parser:
 
     cic_p = sub.add_parser("cic", help="signal influence of a saved checkpoint")
     cic_p.add_argument("--checkpoint", required=True)
-    cic_p.add_argument("--emax", type=float, default=1.0)
+    cic_p.add_argument(
+        "--emax", type=float, help="must match the checkpoint's (default: the checkpoint's)"
+    )
     cic_p.add_argument("--bins", type=int, default=10)
     cic_p.add_argument("--states", type=int, default=100)
     cic_p.add_argument("--samples", type=int, default=100)

@@ -150,7 +150,8 @@ def step(
         raise ValueError(
             f"expected {params.n_agents} efforts, got shape {efforts.shape}"
         )
-    if not np.all((efforts >= 0) & (efforts <= params.e_max)):
+    # min and max are NaN when any effort is, and NaN fails both comparisons
+    if not (efforts.min() >= 0 and efforts.max() <= params.e_max):
         raise ValueError(f"efforts must lie in [0, {params.e_max}]: {efforts}")
 
     total_effort = float(efforts.sum())

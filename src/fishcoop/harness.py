@@ -101,10 +101,13 @@ def _spawn_streams(seed: int, n_agents: int):
 
 def _observations(state: env.EnvState, signal_vec: np.ndarray) -> np.ndarray:
     """The step's (N, 2 + G) observations: row n is agent n's
-    [last effort, last reward, signal]."""
-    return np.column_stack(
-        (state.last_efforts, state.last_rewards, np.tile(signal_vec, (len(state.last_efforts), 1)))
-    )
+    [last effort, last reward, signal]. A new array every step: trajectories
+    keep its rows."""
+    obs = np.empty((len(state.last_efforts), 2 + len(signal_vec)))
+    obs[:, 0] = state.last_efforts
+    obs[:, 1] = state.last_rewards
+    obs[:, 2:] = signal_vec
+    return obs
 
 
 def run_episode(

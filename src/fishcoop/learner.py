@@ -24,7 +24,9 @@ import numpy as np
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 CHECKPOINT_MAGIC = b"FCKP"
-CHECKPOINT_VERSION = 1
+# Version 2 adds the effort range (float64) after the layer sizes; version 1
+# files still load, at the effort range the caller gives.
+CHECKPOINT_VERSION = 2
 
 
 class UpdateDivergedError(RuntimeError):
@@ -96,7 +98,9 @@ class PolicyParams:
 
     A stacked policy binds an (N, P) buffer instead, one agent's vector per
     row. Every field then has a leading agent axis: ``w1`` is (N, h1, obs_dim)
-    and ``log_std`` is (N,)."""
+    and ``log_std`` is (N,). ``stack_params`` marks each agent's row view
+    with ``stacked_row = (policy, n)``; any other ``PolicyParams`` holds
+    ``(None, None)``."""
 
     def __setattr__(self, name, value):
         getattr(self, name)[...] = value
@@ -116,7 +120,9 @@ class PolicyParams:
         lead = flat.shape[:-1]
         views = {name: flat[..., sl].reshape(lead + shape) for name, sl, shape in fields}
         params = cls.__new__(cls)
-        params.__dict__.update(views, flat=flat, layer_sizes=layer_sizes)
+        params.__dict__.update(
+            views, flat=flat, layer_sizes=layer_sizes, stacked_row=(None, None)
+        )
         return params
 
     def to_flat(self) -> np.ndarray:
@@ -125,13 +131,22 @@ class PolicyParams:
 
 def stack_params(agents: list["PpoAgent"]) -> PolicyParams:
     """A stacked (N, P) policy holding the agents' parameters: each agent's
-    ``params`` becomes a view of its row, so a change made in place on either
-    side shows on the other. A later call rebinds the agents to a new buffer,
-    so an episode stacks once, at its start, and never mid-episode."""
+    ``params`` is a view of its row, so a change made in place on either side
+    shows on the other. When the agents already are the rows of one stacked
+    policy, in this order (an earlier call stacked them and none was rebound
+    since), that policy is returned as it is. Otherwise the vectors are copied
+    into a new buffer and the agents are rebound to its rows, so an episode
+    stacks once, at its start, and never mid-episode."""
+    policy = agents[0].params.stacked_row[0]
+    if policy is not None and [agent.params.stacked_row for agent in agents] == [
+        (policy, n) for n in range(len(policy.flat))
+    ]:
+        return policy
     layer_sizes = agents[0].params.layer_sizes
     policy = PolicyParams.from_flat(np.stack([a.params.flat for a in agents]), layer_sizes)
-    for agent, row in zip(agents, policy.flat):
+    for n, (agent, row) in enumerate(zip(agents, policy.flat)):
         agent.params = PolicyParams.from_flat(row, layer_sizes)
+        agent.params.__dict__["stacked_row"] = (policy, n)
     return policy
 
 
@@ -165,11 +180,19 @@ def _forward_batch(params: PolicyParams, obs: np.ndarray, e_max: float):
     One agent's (rows, obs_dim) batch gives (rows,) means and values; a
     stacked (N, P) policy with (N, rows, obs_dim) observations gives (N, rows),
     each agent's row computed as in its own batch."""
-    h1 = np.tanh(obs @ np.swapaxes(params.w1, -1, -2) + params.b1[..., None, :])
-    h2 = np.tanh(h1 @ np.swapaxes(params.w2, -1, -2) + params.b2[..., None, :])
-    mean_in = (h2 @ params.w_mean[..., None])[..., 0] + params.b_mean[..., None]
+    # each bias add and tanh runs in place on the fresh product: the same
+    # float operations as ``tanh(x @ w.T + b)``, without two temporaries
+    h1 = obs @ np.swapaxes(params.w1, -1, -2)
+    h1 += params.b1[..., None, :]
+    np.tanh(h1, out=h1)
+    h2 = h1 @ np.swapaxes(params.w2, -1, -2)
+    h2 += params.b2[..., None, :]
+    np.tanh(h2, out=h2)
+    mean_in = (h2 @ params.w_mean[..., None])[..., 0]
+    mean_in += params.b_mean[..., None]
     mean = e_max * _sigmoid(mean_in)
-    value = (h2 @ params.w_value[..., None])[..., 0] + params.b_value[..., None]
+    value = (h2 @ params.w_value[..., None])[..., 0]
+    value += params.b_value[..., None]
     return mean, value, h1, h2
 
 
@@ -190,14 +213,19 @@ def act(policy: PolicyParams, obs: np.ndarray, rngs: list, e_max: float):
     log-probabilities, the value estimates and the action means."""
     means, values = stacked_forward(policy, obs, e_max)
     std = np.exp(policy.log_std)
-    if np.any(std <= 0):
+    if (std <= 0).any():
         raise ValueError(f"std must be positive, got {float(np.min(std))}")
-    # Python floats, one agent at a time: their ``**`` squares with libm's pow,
-    # which differs from NumPy's array square in the last bit of about 1 in
-    # 1000 draws, and stored log-probabilities steer every later update
-    mean_list, std_list = means.tolist(), std.tolist()
+    # ``gaussian_log_prob``'s formula on Python floats, one agent at a time:
+    # their ``**`` squares with libm's pow, which differs from NumPy's array
+    # square in the last bit of about 1 in 1000 draws, and stored
+    # log-probabilities steer every later update. Only ``log(std)`` is one
+    # array call over the N agents: it is bitwise equal to the scalar call.
+    mean_list, std_list, log_std_list = means.tolist(), std.tolist(), np.log(std).tolist()
     raws = [rng.normal(m, s) for rng, m, s in zip(rngs, mean_list, std_list)]
-    log_probs = [gaussian_log_prob(r, m, s) for r, m, s in zip(raws, mean_list, std_list)]
+    log_probs = [
+        -0.5 * ((r - m) / s) ** 2 - log_s - 0.5 * LOG_2PI
+        for r, m, s, log_s in zip(raws, mean_list, std_list, log_std_list)
+    ]
     efforts = np.array([min(max(raw, 0.0), e_max) for raw in raws])
     return efforts, (raws, log_probs, values, means)
 
@@ -274,9 +302,11 @@ def ppo_loss_and_grads(
     returns: np.ndarray,
     hyper: PpoHyper,
     e_max: float,
+    grads: PolicyParams | None = None,
 ) -> tuple[float, PolicyParams, dict]:
     """Total PPO loss and its analytic gradient. The gradient is written into
-    a fresh buffer of ``params.flat``'s layout and returned wrapped as a
+    ``grads`` (every entry is overwritten), or into a fresh buffer of
+    ``params.flat``'s layout when it is None, and returned wrapped as a
     PolicyParams, so ``grads.flat`` lines up with ``params.flat`` entry by
     entry.
 
@@ -305,7 +335,8 @@ def ppo_loss_and_grads(
     # --- backward ---
     take_unclipped = unclipped <= clipped
     d_log_probs = -(1.0 / n) * advantages * ratio * take_unclipped
-    grads = PolicyParams.from_flat(np.empty_like(params.flat), params.layer_sizes)
+    if grads is None:
+        grads = PolicyParams.from_flat(np.empty_like(params.flat), params.layer_sizes)
     d_mean = d_log_probs * (raw_actions - mean) / std**2
     grads.log_std = np.sum(d_log_probs * (((raw_actions - mean) / std) ** 2 - 1.0))
     grads.log_std -= hyper.entropy_coeff
@@ -313,19 +344,23 @@ def ppo_loss_and_grads(
     d_value = hyper.vf_coeff * (2.0 / n) * vf_err * (vf_sq < hyper.vf_clip)
 
     d_mean_raw = d_mean * mean * (1.0 - mean / e_max)  # sigmoid head chain rule
-    grads.w_mean = h2.T @ d_mean_raw
+    np.matmul(h2.T, d_mean_raw, out=grads.w_mean)
     grads.b_mean = np.sum(d_mean_raw)
-    grads.w_value = h2.T @ d_value
+    np.matmul(h2.T, d_value, out=grads.w_value)
     grads.b_value = np.sum(d_value)
 
-    d_h2 = np.outer(d_mean_raw, params.w_mean) + np.outer(d_value, params.w_value)
-    d_z2 = d_h2 * (1.0 - h2**2)
-    grads.w2 = d_z2.T @ h1
-    grads.b2 = d_z2.sum(axis=0)
-    d_h1 = d_z2 @ params.w2
-    d_z1 = d_h1 * (1.0 - h1**2)
-    grads.w1 = d_z1.T @ obs
-    grads.b1 = d_z1.sum(axis=0)
+    # d_z2 = (outer(d_mean_raw, w_mean) + outer(d_value, w_value)) * (1 - h2**2)
+    # and d_z1 = (d_z2 @ w2) * (1 - h1**2), in place over this call's own
+    # activations, which are not read again
+    d_z2 = d_mean_raw[:, None] * params.w_mean
+    d_z2 += d_value[:, None] * params.w_value
+    d_z2 *= np.subtract(1.0, np.square(h2, out=h2), out=h2)
+    np.matmul(d_z2.T, h1, out=grads.w2)
+    np.sum(d_z2, axis=0, out=grads.b2)
+    d_z1 = d_z2 @ params.w2
+    d_z1 *= np.subtract(1.0, np.square(h1, out=h1), out=h1)
+    np.matmul(d_z1.T, obs, out=grads.w1)
+    np.sum(d_z1, axis=0, out=grads.b1)
 
     clip_fraction = float(np.mean(~take_unclipped))
     stats = {
@@ -354,14 +389,22 @@ class AdamState:
         self.t = 0
 
     def step(self, flat: np.ndarray, grad: np.ndarray, lr: float) -> None:
-        """Update ``flat`` in place."""
+        """Update ``flat`` in place:
+        m = beta1*m + (1-beta1)*g, v = beta2*v + (1-beta2)*g**2,
+        flat -= lr*m_hat / (sqrt(v_hat) + eps), each operation in this order,
+        written into the moments and two scratch vectors."""
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         self.t += 1
-        self.m = beta1 * self.m + (1.0 - beta1) * grad
-        self.v = beta2 * self.v + (1.0 - beta2) * grad**2
-        m_hat = self.m / (1.0 - beta1**self.t)
-        v_hat = self.v / (1.0 - beta2**self.t)
-        flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        step, denom = np.empty_like(grad), np.empty_like(grad)
+        self.m *= beta1
+        self.m += np.multiply(1.0 - beta1, grad, out=step)
+        self.v *= beta2
+        self.v += np.multiply(1.0 - beta2, np.square(grad, out=step), out=step)
+        np.sqrt(np.divide(self.v, 1.0 - beta2**self.t, out=denom), out=denom)
+        denom += eps
+        np.multiply(lr, np.divide(self.m, 1.0 - beta1**self.t, out=step), out=step)
+        step /= denom
+        flat -= step
 
 
 def ppo_update(
@@ -386,25 +429,22 @@ def ppo_update(
     params = PolicyParams.from_flat(params.flat.copy(), params.layer_sizes)
     if adam is None:
         adam = AdamState(params.flat)
+    grads = PolicyParams.from_flat(np.empty_like(params.flat), params.layer_sizes)
+    columns = (batch["obs"], batch["raw_actions"], batch["old_log_probs"], adv, batch["returns"])
 
     epochs_run = 0
     mean_kl = 0.0
     last_stats: dict = {}
     for _ in range(hyper.epochs_per_update):
+        # each column gathered once per epoch; minibatches are contiguous slices
         order = rng.permutation(n)
+        shuffled = [column[order] for column in columns]
         for start in range(0, n, hyper.minibatch_size):
-            idx = order[start : start + hyper.minibatch_size]
+            rows = slice(start, start + hyper.minibatch_size)
             loss, grads, last_stats = ppo_loss_and_grads(
-                params,
-                batch["obs"][idx],
-                batch["raw_actions"][idx],
-                batch["old_log_probs"][idx],
-                adv[idx],
-                batch["returns"][idx],
-                hyper,
-                e_max,
+                params, *(column[rows] for column in shuffled), hyper, e_max, grads
             )
-            if not np.all(np.isfinite(grads.flat)):
+            if not np.isfinite(grads.flat).all():
                 bad = int(np.sum(~np.isfinite(grads.flat)))
                 raise UpdateDivergedError(
                     f"non-finite gradients in PPO update: {bad} entries, loss={loss}"
@@ -479,18 +519,22 @@ class PpoAgent:
 
 
 def save_checkpoint(path, agents: list[PpoAgent]) -> None:
-    """Write all agents' parameters as a versioned flat little-endian record."""
+    """Write all agents' parameters and their effort range as a versioned flat
+    little-endian record."""
     if not agents:
         raise ValueError("no agents to save")
-    g = agents[0].g
+    g, e_max = agents[0].g, agents[0].e_max
     layer_sizes = agents[0].params.layer_sizes
     for agent in agents:
         if agent.g != g or agent.params.layer_sizes != layer_sizes:
             raise ValueError("agents disagree on architecture")
+        if agent.e_max != e_max:
+            raise ValueError("agents disagree on the effort range")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<IIII", CHECKPOINT_VERSION, g, len(agents), len(layer_sizes)))
         fh.write(struct.pack(f"<{len(layer_sizes)}I", *layer_sizes))
+        fh.write(struct.pack("<d", e_max))
         for agent in agents:
             fh.write(agent.params.flat.astype("<f8").tobytes())
 
@@ -503,15 +547,18 @@ def _read_exactly(fh, size: int, what: str) -> bytes:
 
 
 def load_checkpoint(
-    path, e_max: float = 1.0, hyper: PpoHyper | None = None
+    path, e_max: float | None = None, hyper: PpoHyper | None = None
 ) -> list[PpoAgent]:
-    """Rebuild agents from a checkpoint (fresh optimizer state and RNGs)."""
+    """Rebuild agents from a checkpoint (fresh optimizer state and RNGs), at
+    the effort range it records. An ``e_max`` that differs from the recorded
+    one is an error; a version-1 checkpoint records none and loads at
+    ``e_max``, 1.0 when it is None."""
     hyper = hyper if hyper is not None else PpoHyper()
     with open(path, "rb") as fh:
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise ValueError(f"{path} is not a policy checkpoint")
         version, g, n_agents, n_sizes = struct.unpack("<IIII", _read_exactly(fh, 16, "header"))
-        if version != CHECKPOINT_VERSION:
+        if version not in (1, CHECKPOINT_VERSION):
             raise ValueError(f"unsupported checkpoint version {version}")
         if n_sizes != 3:
             raise ValueError(f"expected 3 layer sizes, got {n_sizes}")
@@ -520,6 +567,15 @@ def load_checkpoint(
             raise ValueError(
                 f"input width {layer_sizes[0]} does not match signal cardinality {g} + 2"
             )
+        if version == 1:
+            e_max = 1.0 if e_max is None else e_max
+        else:
+            (stored,) = struct.unpack("<d", _read_exactly(fh, 8, "effort range"))
+            if not (math.isfinite(stored) and stored > 0):
+                raise ValueError(f"invalid effort range {stored} in {path}")
+            if e_max is not None and e_max != stored:
+                raise ValueError(f"{path} was trained at e_max={stored}, not at e_max={e_max}")
+            e_max = stored
         _, flat_len = _layout(layer_sizes)
         agents = []
         for i in range(n_agents):

@@ -266,6 +266,20 @@ class TestCicCommand:
         assert code == 0
         assert "mean CIC=" in capsys.readouterr().out
 
+    def test_effort_range_comes_from_the_checkpoint(self, tmp_path, capsys):
+        path = tmp_path / "p.ckpt"
+        save_checkpoint(
+            path, [PpoAgent(2, 2.0, PpoHyper(), np.random.default_rng(0), hidden=(8, 8))]
+        )
+        flags = ("cic", "--checkpoint", str(path), "--states", "4", "--samples", "10")
+        assert run_cli(*flags) == 0
+        default = capsys.readouterr().out
+        assert run_cli(*flags, "--emax", "2") == 0
+        assert capsys.readouterr().out == default
+        assert run_cli(*flags, "--emax", "1") == 1
+        err = capsys.readouterr().err
+        assert "e_max=2.0" in err and "e_max=1.0" in err
+
     def test_checkpoint_with_mismatched_width_is_rejected(self, tmp_path, capsys):
         agents = [PpoAgent(2, 1.0, PpoHyper(), np.random.default_rng(0), hidden=(8, 8))]
         path = tmp_path / "p.ckpt"

@@ -137,6 +137,24 @@ class TestStep:
         with pytest.raises(ValueError):
             env.step(env.reset(p), np.array([np.nan, 0.5]), p)
 
+    @pytest.mark.parametrize("e_max", [1.0, 0.7])
+    @pytest.mark.parametrize("position", [0, 2])
+    @pytest.mark.parametrize("kind", ["nan", "inf", "-inf", "-tiny", "e_max+ulp"])
+    def test_rejects_each_effort_just_outside_the_range(self, e_max, position, kind):
+        bad = {
+            "nan": np.nan,
+            "inf": np.inf,
+            "-inf": -np.inf,
+            "-tiny": -1e-300,
+            "e_max+ulp": np.nextafter(e_max, np.inf),
+        }[kind]
+        p = params(n=3, e_max=e_max)
+        efforts = np.array([0.0, 0.5 * e_max, e_max])
+        env.step(env.reset(p), efforts, p)  # both ends of the range are allowed
+        efforts[position] = bad
+        with pytest.raises(ValueError, match="efforts must lie in"):
+            env.step(env.reset(p), efforts, p)
+
     def test_step_finished_episode(self):
         p = params(n=2, s_eq=1.0)
         state = env.reset(p)

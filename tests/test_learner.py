@@ -408,6 +408,29 @@ class TestStackedPolicy:
         assert policy.log_std[2] == -0.5
         assert all(np.shares_memory(a.params.flat, row) for a, row in zip(agents, policy.flat))
 
+    def test_restacking_the_same_agents_keeps_their_buffer(self):
+        agents = self.agents()
+        policy = learner.stack_params(agents)
+        bound = [agent.params for agent in agents]
+        again = learner.stack_params(agents)
+        assert all(agent.params is p for agent, p in zip(agents, bound))
+        assert np.shares_memory(again.flat, policy.flat)
+        again.b_mean[0] = 3.0
+        assert agents[0].params.b_mean == 3.0 and policy.b_mean[0] == 3.0
+        # another order, or an agent rebound since, is a new buffer
+        reordered = learner.stack_params(agents[::-1])
+        assert not np.shares_memory(reordered.flat, policy.flat)
+        assert reordered.flat.tobytes() == policy.flat[::-1].tobytes()
+        agents = self.agents()
+        learner.stack_params(agents)
+        agents[1].params = PolicyParams.from_flat(
+            agents[1].params.to_flat(), agents[1].params.layer_sizes
+        )
+        first = agents[0].params
+        restacked = learner.stack_params(agents)
+        assert agents[0].params is not first
+        assert all(np.shares_memory(a.params.flat, row) for a, row in zip(agents, restacked.flat))
+
     def test_agent_update_reaches_the_policy(self):
         agents, single = self.agents(), self.agents()
         policy = learner.stack_params(agents)
@@ -464,6 +487,55 @@ class TestCheckpoint:
         for orig, back in zip(agents, loaded):
             assert back.g == 3
             assert np.array_equal(orig.params.to_flat(), back.params.to_flat())
+
+    @pytest.mark.parametrize("e_max", [1.0, 0.25, 3.0])
+    def test_round_trip_keeps_the_effort_range(self, tmp_path, e_max):
+        agents = [
+            PpoAgent(2, e_max, PpoHyper(), np.random.default_rng(i), hidden=(8, 8))
+            for i in range(2)
+        ]
+        path = tmp_path / "p.ckpt"
+        learner.save_checkpoint(path, agents)
+        assert [a.e_max for a in learner.load_checkpoint(path)] == [e_max, e_max]
+        assert [a.e_max for a in learner.load_checkpoint(path, e_max=e_max)] == [e_max] * 2
+        with pytest.raises(ValueError, match=f"trained at e_max={e_max}, not at e_max=0.5"):
+            learner.load_checkpoint(path, e_max=0.5)
+
+    def test_agents_must_share_the_effort_range(self, tmp_path):
+        agents = [
+            PpoAgent(2, e_max, PpoHyper(), np.random.default_rng(0), hidden=(8, 8))
+            for e_max in (1.0, 2.0)
+        ]
+        with pytest.raises(ValueError, match="effort range"):
+            learner.save_checkpoint(tmp_path / "p.ckpt", agents)
+
+    def test_version_1_file_still_loads(self, tmp_path):
+        # version 1: the same header without the effort range after the layer sizes
+        agents = [
+            PpoAgent(2, 1.0, PpoHyper(), np.random.default_rng(i), hidden=(8, 8))
+            for i in range(2)
+        ]
+        path = tmp_path / "v1.ckpt"
+        learner.save_checkpoint(path, agents)
+        blob = path.read_bytes()
+        assert blob[32:40] == np.array(1.0, dtype="<f8").tobytes()
+        path.write_bytes(blob[:4] + (1).to_bytes(4, "little") + blob[8:32] + blob[40:])
+        for e_max, expected in ((None, 1.0), (2.0, 2.0)):
+            loaded = learner.load_checkpoint(path, e_max=e_max)
+            assert [a.e_max for a in loaded] == [expected, expected]
+            for orig, back in zip(agents, loaded):
+                assert back.params.flat.tobytes() == orig.params.flat.tobytes()
+
+    def test_rejects_invalid_effort_range(self, tmp_path):
+        path = tmp_path / "p.ckpt"
+        learner.save_checkpoint(
+            path, [PpoAgent(2, 1.0, PpoHyper(), np.random.default_rng(0), hidden=(8, 8))]
+        )
+        blob = bytearray(path.read_bytes())
+        blob[32:40] = np.array(np.nan, dtype="<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="invalid effort range"):
+            learner.load_checkpoint(path)
 
     def test_header_is_versioned_little_endian(self, tmp_path):
         agents = [PpoAgent(2, 1.0, PpoHyper(), np.random.default_rng(0), hidden=(8, 8))]
