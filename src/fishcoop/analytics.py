@@ -46,9 +46,9 @@ def lambert_w(branch: int, x: float) -> float:
 
 
 def growth_rate_bounds() -> tuple[float, float]:
-    """Stable growth-rate interval (-W0(-1/(2e)), -W_{-1}(-1/(2e))) ~ (0.232, 2.678)."""
-    arg = -1.0 / (2.0 * math.e)
-    return -lambert_w(0, arg), -lambert_w(-1, arg)
+    """Stable growth-rate interval (-W0(-1/(2e)), -W_{-1}(-1/(2e))) ~ (0.232, 2.678),
+    the one ``EnvParams`` enforces."""
+    return env.GROWTH_RATE_MIN, env.GROWTH_RATE_MAX
 
 
 def limit_sustainable_harvesting(n: int, r: float, e_max: float) -> float:

@@ -26,10 +26,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import EnvParams, catchability, spawner_recruit
+# catchability and spawner_recruit stay names of this module: the
+# benchmark's tracer (perfbench/tracing.py) counts calls through them here.
+from .env import EnvParams, catchability, spawner_recruit  # noqa: F401
 
 # Longest horizon brute_force_optimal searches: its arrays hold 2^T values.
 BRUTE_FORCE_MAX_HORIZON = 20
+# The sweep settles when no adjoint moves by ADJOINT_TOL or more; each
+# iteration blends the new adjoints into the old with weight ADJOINT_DAMPING.
+ADJOINT_TOL = 1e-9
+ADJOINT_DAMPING = 0.5
+# Most floats in one block of the sweep's flip proposals: a block holds
+# max(1, PROPOSAL_BLOCK_FLOATS // T) trial schedules of T steps.
+PROPOSAL_BLOCK_FLOATS = 2**18
 
 
 @dataclass(frozen=True)
@@ -51,41 +60,13 @@ class AdjointSchedule:
     iterations: int
 
 
-def hamiltonian(
-    w: float,
-    effort_next: float,
-    lambda_next: float,
-    price: float,
-    cost: float,
-    s_eq: float,
-    growth_rate: float,
-) -> float:
-    """Stage Hamiltonian (p - lam) q(F(w)) E - c + lam F(w)."""
-    grown = spawner_recruit(w, s_eq, growth_rate)
-    return (
-        (price - lambda_next) * catchability(grown, s_eq) * effort_next
-        - cost
-        + lambda_next * grown
-    )
-
-
-def bang_bang_action(coefficient: float, e_total_max: float) -> float:
-    """Full effort when the Hamiltonian's effort coefficient is >= 0, else none."""
-    return e_total_max if coefficient >= 0 else 0.0
-
-
-def _growth_derivative(w: float, s_eq: float, r: float) -> float:
-    return np.exp(r * (1.0 - w / s_eq)) * (1.0 - r * w / s_eq)
-
-
-def _hamiltonian_dw(
-    w: float, effort: float, lambda_next: float, price: float, s_eq: float, r: float
-) -> float:
-    """d/dw of the stage Hamiltonian (left derivative of q at its kink)."""
-    grown = w * np.exp(r * (1.0 - w / s_eq))
-    f_prime = _growth_derivative(w, s_eq, r)
-    q_prime = 1.0 / (2.0 * s_eq) if grown <= 2.0 * s_eq else 0.0
-    return (price - lambda_next) * q_prime * f_prime * effort + lambda_next * f_prime
+def _stage(stock, effort, s_eq: float, r: float):
+    """One step elementwise: the grown stock F(w), its catchability q(F(w))
+    and the unclamped harvest q(F(w)) * E, in that float-operation order."""
+    grown = stock * np.exp(r * (1.0 - stock / s_eq))
+    # equals env.catchability's branch: grown <= 2 s_eq iff the rounded ratio <= 1
+    q = np.minimum(grown / (2.0 * s_eq), 1.0)
+    return grown, q, q * effort
 
 
 def _per_step(value, horizon: int) -> np.ndarray:
@@ -99,26 +80,31 @@ def evaluate_schedule(
     growth_rate: float,
     price: np.ndarray,
     cost: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """Objective and post-harvest trajectory of a schedule (unclamped harvest)."""
-    horizon = len(efforts)
-    stocks = np.zeros(horizon + 1)
+) -> tuple[float | np.ndarray, np.ndarray]:
+    """Objective and post-harvest trajectory of a schedule (unclamped harvest).
+
+    ``efforts`` is one (T,) schedule, giving a scalar objective and (T+1,)
+    stocks, or a (P, T) stack of independent schedules, giving (P,)
+    objectives and (P, T+1) stocks; each row equals its own 1-D call.
+    """
+    efforts = np.asarray(efforts, dtype=float)
+    steps = np.atleast_2d(efforts).T  # (T, P): column k of every schedule
+    stocks = np.empty((len(steps) + 1, steps.shape[1]))
     stocks[0] = s_eq
-    objective = 0.0
-    for k in range(horizon):
-        grown = spawner_recruit(stocks[k], s_eq, growth_rate)
-        harvest = catchability(grown, s_eq) * efforts[k]
+    objective = np.zeros(steps.shape[1])
+    for k, effort in enumerate(steps):
+        grown, _, harvest = _stage(stocks[k], effort, s_eq, growth_rate)
         objective += price[k] * harvest - cost[k]
-        stocks[k + 1] = max(grown - harvest, 0.0)
-    return objective, stocks
+        np.maximum(grown - harvest, 0.0, out=stocks[k + 1])
+    if efforts.ndim == 1:
+        return objective[0], stocks[:, 0]
+    return objective, stocks.T
 
 
 def forward_backward_sweep(
     params: EnvParams,
     horizon: int,
-    tol: float = 1e-9,
     max_iter: int = 10_000,
-    damping: float = 0.5,
     price=None,
     cost=None,
 ) -> AdjointSchedule:
@@ -131,10 +117,10 @@ def forward_backward_sweep(
     large move, not an infinitesimal one). Adopting such flips makes the
     plain iteration cycle without settling, so schedule updates are damped
     conservatively: each iteration adopts the single bang-rule proposal
-    that most improves the objective and rejects proposals that lower it.
-    Convergence means the adjoints have settled and no proposed change
-    survives the forward check; the best schedule found is returned either
-    way.
+    that most improves the objective (the earliest step on ties) and
+    rejects proposals that lower it. Convergence means the adjoints have
+    settled and no proposed change survives the forward check. Without
+    convergence the schedule the last iteration started from is returned.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -142,58 +128,53 @@ def forward_backward_sweep(
     s_eq, r = params.s_eq, params.growth_rate
     prices = _per_step(params.price if price is None else price, horizon)
     costs = _per_step(params.cost if cost is None else cost, horizon)
+    block_rows = max(1, PROPOSAL_BLOCK_FLOATS // horizon)
 
     efforts = np.full(horizon, e_total)
+    objective, stocks = evaluate_schedule(efforts, s_eq, r, prices, costs)
+    adopted = efforts, objective, stocks
     lambdas = np.zeros(horizon + 1)
-    best_obj, best_efforts = -np.inf, efforts.copy()
     converged = False
     iterations = 0
 
-    for iteration in range(1, max_iter + 1):
-        iterations = iteration
-        objective, stocks = evaluate_schedule(efforts, s_eq, r, prices, costs)
-        if objective > best_obj:
-            best_obj, best_efforts = objective, efforts.copy()
+    for iterations in range(1, max_iter + 1):
+        efforts, objective, stocks = adopted
+        w = stocks[:-1]
+        grown, q, _ = _stage(w, efforts, s_eq, r)
 
-        lam_new = np.zeros(horizon + 1)
-        for k in range(horizon - 1, -1, -1):
-            lam_new[k] = _hamiltonian_dw(
-                stocks[k], efforts[k], lam_new[k + 1], prices[k], s_eq, r
-            )
+        # lambda_k = dH_k/dw: F'(w) and q'(F(w)) (its left derivative at the kink)
+        f_prime = np.exp(r * (1.0 - w / s_eq)) * (1.0 - r * w / s_eq)
+        q_prime = np.where(grown <= 2.0 * s_eq, 1.0 / (2.0 * s_eq), 0.0)
+        terms = zip(prices.tolist(), q_prime.tolist(), f_prime.tolist(), efforts.tolist())
+        lam = [0.0]
+        for p, qp, fp, e in reversed(list(terms)):
+            lam.append((p - lam[-1]) * qp * fp * e + lam[-1] * fp)
+        lam_new = np.array(lam[::-1])
         lam_change = float(np.max(np.abs(lam_new - lambdas)))
-        lambdas = damping * lam_new + (1.0 - damping) * lambdas
+        lambdas = ADJOINT_DAMPING * lam_new + (1.0 - ADJOINT_DAMPING) * lambdas
 
-        proposals = [
-            k
-            for k in range(horizon)
-            if bang_bang_action(
-                (prices[k] - lambdas[k + 1])
-                * catchability(spawner_recruit(stocks[k], s_eq, r), s_eq),
-                e_total,
-            )
-            != efforts[k]
-        ]
-        best_gain, best_k = 0.0, None
-        for k in proposals:
-            trial = efforts.copy()
-            trial[k] = e_total - trial[k]
-            trial_obj, _ = evaluate_schedule(trial, s_eq, r, prices, costs)
-            if trial_obj - objective > best_gain:
-                best_gain, best_k = trial_obj - objective, k
+        # the Hamiltonian is linear in E: full effort when (p - lambda) q >= 0
+        bang = np.where((prices - lambdas[1:]) * q >= 0, e_total, 0.0)
+        proposals = np.flatnonzero(bang != efforts)
+        best_gain = 0.0
+        for start in range(0, len(proposals), block_rows):
+            block = proposals[start : start + block_rows]
+            trials = np.tile(efforts, (len(block), 1))
+            trials[np.arange(len(block)), block] = e_total - efforts[block]
+            trial_objs, trial_stocks = evaluate_schedule(trials, s_eq, r, prices, costs)
+            gains = trial_objs - objective
+            i = int(np.argmax(gains))
+            if gains[i] > best_gain:
+                best_gain = gains[i]
+                adopted = trials[i].copy(), trial_objs[i], trial_stocks[i].copy()
 
-        if best_k is not None:
-            efforts[best_k] = e_total - efforts[best_k]
-            continue
-        if lam_change < tol:
+        if best_gain == 0.0 and lam_change < ADJOINT_TOL:
             converged = True
             break
 
-    final_efforts = efforts if converged else best_efforts
-    objective, stocks = evaluate_schedule(final_efforts, s_eq, r, prices, costs)
-    lambdas[horizon] = 0.0
     return AdjointSchedule(
         lambdas=lambdas,
-        efforts=final_efforts,
+        efforts=efforts,
         post_harvest_stock=stocks,
         objective=objective,
         converged=converged,
@@ -212,8 +193,8 @@ def brute_force_optimal(
 
     The stock after step k depends only on the first k choices, so all 2^k
     schedule prefixes advance together, each splitting into its harvest and
-    rest children in that order. Each step repeats ``evaluate_schedule``'s
-    float operations, so the objective equals the returned schedule's
+    rest children in that order. Each step is ``evaluate_schedule``'s stage
+    and objective update, so the objective equals the returned schedule's
     ``evaluate_schedule`` objective bit for bit. Ties go to the schedule
     that harvests earliest.
     """
@@ -232,9 +213,7 @@ def brute_force_optimal(
     stock = np.array([s_eq])
     objective = np.zeros(1)
     for k in range(horizon):
-        grown = stock * np.exp(r * (1.0 - stock / s_eq))
-        q = np.where(grown <= 2.0 * s_eq, grown / (2.0 * s_eq), 1.0)
-        harvest = q[:, None] * choices
+        grown, _, harvest = _stage(stock[:, None], choices, s_eq, r)
         # row i holds the children of prefix i, so ravel keeps
         # itertools.product((e_total, 0.0), repeat=k+1) order; adding the
         # objective in place (IEEE addition commutes) saves a 2^k-wide array
@@ -242,7 +221,7 @@ def brute_force_optimal(
         gain += objective[:, None]
         objective = gain.ravel()
         if k + 1 < horizon:
-            stock = np.maximum(grown[:, None] - harvest, 0.0).ravel()
+            stock = np.maximum(grown - harvest, 0.0).ravel()
     # argmax takes the first maximum: the earliest-harvesting schedule
     best = int(np.argmax(objective))
     rests = (best >> np.arange(horizon - 1, -1, -1)) & 1

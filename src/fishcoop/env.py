@@ -15,12 +15,14 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import lambertw
 
 # Stability interval for the growth rate: inside it, an unharvested stock
-# started at or below 2*s_eq never exceeds 2*s_eq (see analytics.growth_rate_bounds
-# for the exact Lambert-W roots these literals approximate).
-GROWTH_RATE_MIN = 0.232
-GROWTH_RATE_MAX = 2.678
+# started at or below 2*s_eq never exceeds 2*s_eq. The Ricker map peaks at
+# 2*s_eq exactly when e^r = 2 e r, whose roots are -W(-1/(2e)) on Lambert W's
+# branches 0 and -1: about 0.231961 and 2.678347.
+GROWTH_RATE_MIN = float(-lambertw(-1.0 / (2.0 * math.e), 0).real)
+GROWTH_RATE_MAX = float(-lambertw(-1.0 / (2.0 * math.e), -1).real)
 
 
 class DoneReason(str, Enum):
@@ -35,8 +37,6 @@ class EnvParams:
 
     ``price`` and ``cost`` are held constant during simulation; the
     optimal-control module accepts per-step sequences separately.
-    Set ``enforce_growth_bounds=False`` only to demonstrate what happens
-    outside the stable growth-rate interval.
     """
 
     n_agents: int
@@ -47,7 +47,6 @@ class EnvParams:
     cost: float = 0.0
     depletion_threshold: float = 1e-4
     max_steps: int = 500
-    enforce_growth_bounds: bool = True
 
     def __post_init__(self):
         for name in ("s_eq", "growth_rate", "e_max", "price", "cost", "depletion_threshold"):
@@ -63,9 +62,7 @@ class EnvParams:
             raise ValueError("depletion_threshold must be positive")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.enforce_growth_bounds and not (
-            GROWTH_RATE_MIN <= self.growth_rate <= GROWTH_RATE_MAX
-        ):
+        if not GROWTH_RATE_MIN <= self.growth_rate <= GROWTH_RATE_MAX:
             raise ValueError(
                 f"growth_rate {self.growth_rate} outside stable interval "
                 f"[{GROWTH_RATE_MIN}, {GROWTH_RATE_MAX}]"

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fishcoop import env
+from fishcoop import analytics, env
 
 
 def params(n=2, s_eq=10.0, r=1.0, e_max=1.0, **kw):
@@ -216,9 +218,15 @@ class TestDynamicsProperties:
     def test_params_reject_unstable_growth(self):
         with pytest.raises(ValueError):
             params(r=4.0)
-        # explicit override for the demonstration case
-        p = params(r=4.0, enforce_growth_bounds=False)
-        assert p.growth_rate == 4.0
+
+    def test_params_accept_the_whole_stable_interval(self):
+        # the enforced interval is the Lambert-W one, not a 3-decimal rounding of it
+        assert (env.GROWTH_RATE_MIN, env.GROWTH_RATE_MAX) == analytics.growth_rate_bounds()
+        assert env.EnvParams(n_agents=1, s_eq=1.0, growth_rate=2.6783).growth_rate == 2.6783
+        assert env.EnvParams(n_agents=1, s_eq=1.0, growth_rate=0.23197).growth_rate == 0.23197
+        for r in analytics.growth_rate_bounds():
+            assert abs(math.exp(r) - 2.0 * math.e * r) < 1e-9
+            assert env.EnvParams(n_agents=1, s_eq=1.0, growth_rate=r).growth_rate == r
 
     @pytest.mark.parametrize(
         "field", ["s_eq", "growth_rate", "e_max", "price", "cost", "depletion_threshold"]
@@ -226,6 +234,4 @@ class TestDynamicsProperties:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_params_reject_non_finite(self, field, value):
         with pytest.raises(ValueError, match="finite"):
-            env.EnvParams(
-                **{"n_agents": 1, "s_eq": 1.0, "enforce_growth_bounds": False, field: value}
-            )
+            env.EnvParams(**{"n_agents": 1, "s_eq": 1.0, field: value})
