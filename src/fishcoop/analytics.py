@@ -21,28 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lambertw
 
 from . import env
-
-_INV_E = math.exp(-1.0)
-
-
-def lambert_w(branch: int, x: float) -> float:
-    """Real Lambert W on branch 0 or -1, the solution w of w * e^w = x.
-
-    Branch 0 needs x >= -1/e; branch -1 needs -1/e <= x < 0.
-    """
-    if branch not in (0, -1):
-        raise ValueError(f"branch must be 0 or -1, got {branch}")
-    if x < -_INV_E:
-        raise ValueError(f"x={x} below the branch point -1/e")
-    if branch == -1 and x >= 0:
-        raise ValueError(f"branch -1 requires x < 0, got {x}")
-    if math.e * x + 1.0 <= 0.0:
-        # the branch point itself (up to rounding), where SciPy returns nan
-        return -1.0
-    return float(lambertw(x, branch).real)
 
 
 def growth_rate_bounds() -> tuple[float, float]:

@@ -2,9 +2,9 @@
 
 Subcommands: ``run`` (grid experiment), ``baseline`` (max-effort sweep),
 ``limits`` (closed-form stock limits), ``control`` (forward-backward sweep
-vs brute force), ``cic`` (signal influence of a checkpoint), ``replay``
-(re-run from a manifest). Exits 0 on success, 1 on parameter errors and 2
-on runtime failures.
+vs the best bang-bang schedule), ``cic`` (signal influence of a
+checkpoint), ``replay`` (re-run from a manifest). Exits 0 on success, 1 on
+parameter errors and 2 on runtime failures.
 
 A ``run --config`` file is flat ``key=value`` text ('#' comments allowed). Its
 keys are the names of the ``run`` flags without the leading dashes, with ``-``
@@ -222,7 +222,9 @@ def _cmd_control(args) -> int:
     if args.horizon <= control.BRUTE_FORCE_MAX_HORIZON:
         schedule, objective = control.brute_force_optimal(params, args.horizon)
         gap = objective - sweep.objective
-        print(f"brute force: objective={objective:.9g} (gap {gap:.3g})")
+        print(
+            f"brute force: objective={objective:.9g} (best bang-bang schedule, gap {gap:.3g})"
+        )
         print("efforts:", " ".join(f"{e:g}" for e in schedule))
         if gap > 1e-9:
             # the sweep only satisfies the maximum principle's necessary conditions
@@ -240,7 +242,7 @@ def _cmd_cic(args) -> int:
     values = []
     for i, agent in enumerate(agents):
         value = metrics.cic(
-            agent.sample_efforts,
+            agent,
             metrics.uniform_partial_state(e_max),
             config,
             agent.g,

@@ -32,8 +32,9 @@ from .env import EnvParams, catchability, spawner_recruit  # noqa: F401
 
 # Longest horizon brute_force_optimal searches: its arrays hold 2^T values.
 BRUTE_FORCE_MAX_HORIZON = 20
-# The sweep settles when no adjoint moves by ADJOINT_TOL or more; each
-# iteration blends the new adjoints into the old with weight ADJOINT_DAMPING.
+# The sweep settles when no adjoint moves by ADJOINT_TOL or more, or when the
+# blend leaves them bit for bit unchanged; each iteration blends the new
+# adjoints into the old with weight ADJOINT_DAMPING.
 ADJOINT_TOL = 1e-9
 ADJOINT_DAMPING = 0.5
 # Most floats in one block of the sweep's flip proposals: a block holds
@@ -119,8 +120,11 @@ def forward_backward_sweep(
     conservatively: each iteration adopts the single bang-rule proposal
     that most improves the objective (the earliest step on ties) and
     rejects proposals that lower it. Convergence means the adjoints have
-    settled and no proposed change survives the forward check. Without
-    convergence the schedule the last iteration started from is returned.
+    settled and no proposed change survives the forward check. Settled
+    means no adjoint moves by ``ADJOINT_TOL``, or the blend leaves them bit
+    for bit unchanged: adjoints near 1e17 stall one ulp apart, above any
+    absolute tolerance. Without convergence the best schedule adopted so
+    far is returned.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -151,7 +155,9 @@ def forward_backward_sweep(
             lam.append((p - lam[-1]) * qp * fp * e + lam[-1] * fp)
         lam_new = np.array(lam[::-1])
         lam_change = float(np.max(np.abs(lam_new - lambdas)))
-        lambdas = ADJOINT_DAMPING * lam_new + (1.0 - ADJOINT_DAMPING) * lambdas
+        blended = ADJOINT_DAMPING * lam_new + (1.0 - ADJOINT_DAMPING) * lambdas
+        settled = lam_change < ADJOINT_TOL or np.array_equal(blended, lambdas)
+        lambdas = blended
 
         # the Hamiltonian is linear in E: full effort when (p - lambda) q >= 0
         bang = np.where((prices - lambdas[1:]) * q >= 0, e_total, 0.0)
@@ -168,10 +174,11 @@ def forward_backward_sweep(
                 best_gain = gains[i]
                 adopted = trials[i].copy(), trial_objs[i], trial_stocks[i].copy()
 
-        if best_gain == 0.0 and lam_change < ADJOINT_TOL:
+        if best_gain == 0.0 and settled:
             converged = True
             break
 
+    efforts, objective, stocks = adopted
     return AdjointSchedule(
         lambdas=lambdas,
         efforts=efforts,

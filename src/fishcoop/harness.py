@@ -293,7 +293,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
     if not failed and episodes_run > 0:
         cic_values = [
             metrics.cic(
-                agent.sample_efforts,
+                agent,
                 metrics.uniform_partial_state(config.e_max, config.price),
                 metrics.CicConfig(),
                 config.signal_cardinality,

@@ -501,12 +501,6 @@ class PpoAgent:
         efforts, steps = act(policy, obs[None], [self.rng], self.e_max)
         return float(efforts[0]), tuple(float(column[0]) for column in steps)
 
-    def sample_efforts(self, obs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n clipped effort samples for one observation, drawn from ``rng``."""
-        means, _ = self.forward(obs[None, :])
-        draws = rng.normal(float(means[0]), self.std, size=n)
-        return np.clip(draws, 0.0, self.e_max)
-
     def update(self, traj: Trajectory, last_value: float = 0.0) -> dict:
         """One PPO update on ``traj``, written into ``params`` in place (never
         rebound), so a stacked policy holding them acts on the result."""

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc
 
-from . import signals
 from .env import DoneReason
 
 
@@ -74,7 +73,7 @@ def uniform_partial_state(e_max: float, price: float = 1.0):
 
 
 def cic(
-    sample_efforts,
+    policy,
     sample_partial_state,
     config: CicConfig,
     g: int,
@@ -83,35 +82,70 @@ def cic(
 ) -> float:
     """Signal-action mutual information, in nats, averaged over random states.
 
-    ``sample_efforts(obs, n, rng)`` must return n sampled actions for the
-    observation ``[prev_effort, prev_reward, one_hot(signal)]``; actions are
-    discretized into ``n_bins`` equal intervals over [0, e_max].
+    ``policy`` is either a Gaussian policy, an object with ``forward(obs)``
+    returning (means, values) for a (rows, 2 + g) observation batch and a
+    scalar ``std`` (a ``PpoAgent``), or a callable ``sample_efforts(obs, n,
+    rng)`` returning n sampled actions for one observation ``[prev_effort,
+    prev_reward, one_hot(signal)]``. A Gaussian policy is scored in one
+    forward over all ``n_states * g`` observations; its actions are
+    ``clip(mean + std * z, 0, e_max)`` with z drawn, per state, after that
+    state's ``sample_partial_state(rng)``, as ``rng.normal(mean, std, n)``
+    would draw them. Actions are discretized into ``n_bins`` equal intervals
+    over [0, e_max].
     """
     if g < 1:
         raise ValueError(f"signal cardinality must be >= 1, got {g}")
+    n_states, n_samples = config.n_states, config.n_samples
+    gaussian = hasattr(policy, "forward")
+    # rows [prev_effort, prev_reward, one_hot(signal)] per (state, signal)
+    obs = np.empty((n_states, g, 2 + g))
+    obs[:, :, 2:] = np.eye(g)
+    actions = np.empty((n_states, g, n_samples))
+    for k in range(n_states):
+        obs[k, :, :2] = sample_partial_state(rng)
+        if gaussian:
+            rng.standard_normal(out=actions[k])
+        else:
+            for j in range(g):
+                actions[k, j] = policy(obs[k, j], n_samples, rng)
+    if gaussian:
+        means, _ = policy.forward(obs.reshape(n_states * g, 2 + g))
+        # in place, the float operations of rng.normal and np.clip
+        actions *= policy.std
+        actions += means.reshape(n_states, g, 1)
+        np.clip(actions, 0.0, e_max, out=actions)
+    return _signal_action_mi(actions, config.n_bins, e_max)
+
+
+def _signal_action_mi(actions: np.ndarray, n_bins: int, e_max: float) -> float:
+    """Mean over states of I(signal; action bin) for (n_states, g, n_samples)
+    actions, a uniform signal prior, and bins of [0, e_max]; overwrites
+    ``actions``. The terms of each state, in (signal, bin) order, and then
+    the states are summed sequentially: NumPy's pairwise ``sum`` would round
+    differently."""
+    n_states, g, n_samples = actions.shape
+    actions /= e_max
+    actions *= n_bins
+    bins = actions.astype(int)
+    np.minimum(bins, n_bins - 1, out=bins)
+    if (bins < 0).any():
+        raise ValueError("actions must be nonnegative")
+    # one bincount over all (state, signal) rows: row i counts into bins i * n_bins + b
+    bins += np.arange(n_states * g).reshape(n_states, g, 1) * n_bins
+    counts = np.bincount(bins.ravel(), minlength=n_states * g * n_bins)
     p_signal = 1.0 / g
-    source = signals.SignalSource(cardinality=g, episode_offset=0)
-    total = 0.0
-    for _ in range(config.n_states):
-        prev_effort, prev_reward = sample_partial_state(rng)
-        # rows: signal values, cols: action bins; joint p(a, g)
-        joint = np.zeros((g, config.n_bins))
-        for j in range(g):
-            obs = np.concatenate(([prev_effort, prev_reward], signals.one_hot(j, source)))
-            actions = np.asarray(sample_efforts(obs, config.n_samples, rng))
-            bins = np.minimum(
-                (actions / e_max * config.n_bins).astype(int), config.n_bins - 1
-            )
-            joint[j] = np.bincount(bins, minlength=config.n_bins)
-        joint = joint / config.n_samples * p_signal
-        p_action = joint.sum(axis=0)
-        mi = 0.0
-        for j in range(g):
-            for i in range(config.n_bins):
-                if joint[j, i] > 0 and p_action[i] > 0:
-                    mi += joint[j, i] * math.log(joint[j, i] / (p_action[i] * p_signal))
-        total += mi / config.n_states
-    return total
+    # rows: states, then signal values; cols: action bins; joint p(a, g)
+    joint = counts.reshape(n_states, g, n_bins) / n_samples * p_signal
+    p_action = joint.sum(axis=1, keepdims=True)
+    seen = joint > 0
+    p_seen = joint[seen]
+    ratios = p_seen / np.broadcast_to(p_action * p_signal, joint.shape)[seen]
+    # math.log, not np.log: NumPy's vectorized log differs from libm's in the
+    # last bit for about 1 in 2500 arguments
+    terms = np.zeros_like(joint)
+    terms[seen] = p_seen * np.array([math.log(x) for x in ratios.tolist()])
+    mi = np.cumsum(terms.reshape(n_states, -1), axis=1)[:, -1]
+    return float(np.cumsum(mi / n_states)[-1])
 
 
 def access_bins(mean_efforts: np.ndarray, e_max: float) -> tuple[int, int, int]:

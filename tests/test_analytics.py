@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special
 
 from fishcoop import analytics, env
 
@@ -70,65 +69,6 @@ class TestLimits:
             analytics.seq_from_multiplier(-0.1, 5, 1.0, 1.0)
 
 
-class TestLambertW:
-    def test_trivial_points(self):
-        assert analytics.lambert_w(0, 0.0) == 0.0
-        assert analytics.lambert_w(0, math.e) == pytest.approx(1.0, abs=1e-12)
-
-    def test_growth_bound_roots(self):
-        x = -1.0 / (2.0 * math.e)
-        assert analytics.lambert_w(0, x) == pytest.approx(-0.2320, abs=1e-4)
-        assert analytics.lambert_w(-1, x) == pytest.approx(-2.6783, abs=1e-4)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            analytics.lambert_w(0, -0.5)
-        with pytest.raises(ValueError):
-            analytics.lambert_w(-1, 0.1)
-        with pytest.raises(ValueError):
-            analytics.lambert_w(1, 0.5)
-
-    def test_round_trip_branch0(self):
-        rng = np.random.default_rng(11)
-        xs = np.concatenate(
-            [
-                rng.uniform(-1.0 / math.e + 1e-12, 0.0, 400),
-                rng.uniform(0.0, 5.0, 300),
-                rng.uniform(5.0, 100.0, 300),
-            ]
-        )
-        for x in xs:
-            w = analytics.lambert_w(0, x)
-            assert abs(w * math.exp(w) - x) < 1e-12
-
-    def test_round_trip_branch0_large_arguments(self):
-        # beyond |x| ~ 1e3 the float64 ulp of x itself exceeds 1e-12, so the
-        # residual bound is relative there
-        rng = np.random.default_rng(14)
-        for x in rng.uniform(100.0, 1e6, 200):
-            w = analytics.lambert_w(0, x)
-            assert abs(w * math.exp(w) - x) < 1e-12 * x
-
-    def test_round_trip_branch_minus1(self):
-        rng = np.random.default_rng(12)
-        xs = rng.uniform(-1.0 / math.e + 1e-12, -1e-12, 1000)
-        for x in xs:
-            w = analytics.lambert_w(-1, x)
-            assert abs(w * math.exp(w) - x) < 1e-12
-            assert w <= -1.0 + 1e-9
-
-    def test_against_scipy(self):
-        rng = np.random.default_rng(13)
-        for x in rng.uniform(-1.0 / math.e + 1e-9, 10.0, 200):
-            assert analytics.lambert_w(0, x) == pytest.approx(
-                float(scipy.special.lambertw(x, 0).real), abs=1e-10
-            )
-        for x in rng.uniform(-1.0 / math.e + 1e-9, -1e-6, 200):
-            assert analytics.lambert_w(-1, x) == pytest.approx(
-                float(scipy.special.lambertw(x, -1).real), abs=1e-10
-            )
-
-
 class TestGrowthRateBounds:
     def test_values(self):
         lo, hi = analytics.growth_rate_bounds()
@@ -139,6 +79,13 @@ class TestGrowthRateBounds:
         # both endpoints solve e^r = 2 e r
         for r in analytics.growth_rate_bounds():
             assert abs(math.exp(r) - 2.0 * math.e * r) < 1e-9
+
+    def test_lambert_w_roots(self):
+        # -r is W_0(-1/(2e)) at the low end and W_{-1}(-1/(2e)) at the high end
+        lo, hi = analytics.growth_rate_bounds()
+        for w in (-lo, -hi):
+            assert abs(w * math.exp(w) + 1.0 / (2.0 * math.e)) < 1e-15
+        assert -lo > -1.0 > -hi
 
 
 class TestSignFlipAtLsh:

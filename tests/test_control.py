@@ -257,6 +257,22 @@ class TestSweep:
         assert sweep.iterations == 2
         assert sweep.objective > 0  # best-found schedule still returned
 
+    def test_unconverged_sweep_returns_the_flip_it_adopted(self):
+        # the first iteration adopts a better schedule than the all-harvest
+        # one it started from; that adopted schedule is the result
+        params = env.EnvParams(n_agents=1, s_eq=1.0)
+        one = control.forward_backward_sweep(params, 19, max_iter=1)
+        start, _ = control.evaluate_schedule(
+            np.full(19, params.e_max), params.s_eq, params.growth_rate,
+            np.ones(19), np.zeros(19),
+        )
+        assert not one.converged
+        assert one.objective == pytest.approx(6.3789, abs=1e-4)
+        assert one.objective > start
+        assert one.objective == control.evaluate_schedule(
+            one.efforts, params.s_eq, params.growth_rate, np.ones(19), np.zeros(19)
+        )[0]
+
     def test_long_horizon_proposals_stay_in_blocks(self):
         # an unblocked (T, T) proposal array peaked at 122 MB at T = 2000
         params = env.EnvParams(n_agents=1, s_eq=1.0)

@@ -1,19 +1,24 @@
-"""The lean PPO update, step path and control sweep against plain reference copies.
+"""The lean PPO update, step path, CIC and control sweep against plain reference copies.
 
 The reference functions below are the earlier, straightforward forms of
 ``_forward_batch``, ``ppo_loss_and_grads``, ``AdamState.step`` and
 ``ppo_update`` (fresh temporaries, ``np.outer``, a fresh gradient buffer per
 minibatch, fancy-indexed minibatches), of ``act``'s per-agent
-log-probability, and of ``control``'s scalar ``evaluate_schedule`` and
-``forward_backward_sweep`` (one O(T) pass per flip proposal). The library
-versions compute the same float operations in the same order, so every
-result must be bitwise equal, not merely close.
+log-probability, of ``metrics.cic`` (one forward and one ``rng.normal``
+call per state and signal, a Python loop for the mutual information), and
+of ``control``'s scalar ``evaluate_schedule`` and ``forward_backward_sweep``
+(one O(T) pass per flip proposal). The library versions compute the same
+float operations in the same order, so every result must be bitwise equal,
+not merely close. The sweep reference keeps the old absolute adjoint
+tolerance, so it is compared bitwise only where it converges.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from fishcoop import analytics, control, env, learner
+from fishcoop import analytics, control, env, learner, metrics, signals
 from fishcoop.learner import LOG_2PI, PolicyParams, PpoAgent, PpoHyper
 
 
@@ -220,6 +225,79 @@ def test_act_log_probs_match_the_per_agent_formula():
             assert effort == min(max(raw, 0.0), 1.0)
 
 
+def ref_sample_efforts(agent):
+    """The former ``PpoAgent.sample_efforts``: n clipped draws for one observation."""
+
+    def sample(obs, n, rng):
+        means, _ = agent.forward(obs[None, :])
+        draws = rng.normal(float(means[0]), agent.std, size=n)
+        return np.clip(draws, 0.0, agent.e_max)
+
+    return sample
+
+
+def ref_cic(sample_efforts, sample_partial_state, config, g, e_max, rng):
+    p_signal = 1.0 / g
+    source = signals.SignalSource(cardinality=g, episode_offset=0)
+    total = 0.0
+    for _ in range(config.n_states):
+        prev_effort, prev_reward = sample_partial_state(rng)
+        joint = np.zeros((g, config.n_bins))
+        for j in range(g):
+            obs = np.concatenate(([prev_effort, prev_reward], signals.one_hot(j, source)))
+            actions = np.asarray(sample_efforts(obs, config.n_samples, rng))
+            bins = np.minimum(
+                (actions / e_max * config.n_bins).astype(int), config.n_bins - 1
+            )
+            joint[j] = np.bincount(bins, minlength=config.n_bins)
+        joint = joint / config.n_samples * p_signal
+        p_action = joint.sum(axis=0)
+        mi = 0.0
+        for j in range(g):
+            for i in range(config.n_bins):
+                if joint[j, i] > 0 and p_action[i] > 0:
+                    mi += joint[j, i] * math.log(joint[j, i] / (p_action[i] * p_signal))
+        total += mi / config.n_states
+    return total
+
+
+@pytest.mark.parametrize("g", [1, 2, 4, 8])
+@pytest.mark.parametrize("n_bins", [2, 10])
+def test_cic_of_a_gaussian_policy_is_the_per_observation_reference(g, n_bins):
+    # one forward over all observations against one forward and one
+    # rng.normal call per (state, signal); log_std spans -3 to 0.5
+    configs = [metrics.CicConfig(n_states=30, n_samples=50, n_bins=n_bins),
+               metrics.CicConfig(n_states=1, n_samples=1, n_bins=n_bins)]
+    for i, log_std in enumerate(np.linspace(-3.0, 0.5, 8)):
+        e_max = (1.0, 1.5)[i % 2]
+        agent = PpoAgent(g, e_max, PpoHyper(), np.random.default_rng([g, n_bins, i]))
+        agent.params.flat += agent.rng.normal(0.0, 0.1, agent.params.flat.shape)
+        agent.params.log_std = log_std
+        sampler = metrics.uniform_partial_state(e_max, 1.3)
+        for config in configs:
+            got = metrics.cic(agent, sampler, config, g, e_max, np.random.default_rng(i))
+            want = ref_cic(
+                ref_sample_efforts(agent), sampler, config, g, e_max, np.random.default_rng(i)
+            )
+            assert type(got) is float
+            assert got == want
+
+
+def test_cic_of_a_callable_is_the_per_observation_reference():
+    def noisy_follower(obs, n, rng):
+        return np.clip(np.argmax(obs[2:]) / 3 + rng.normal(0.1, 0.2, n), 0.0, 1.0)
+
+    sampler = metrics.uniform_partial_state(1.0)
+    for config in (metrics.CicConfig(n_bins=3), metrics.CicConfig(n_states=1, n_samples=1)):
+        got = metrics.cic(noisy_follower, sampler, config, 3, 1.0, np.random.default_rng(4))
+        want = ref_cic(noisy_follower, sampler, config, 3, 1.0, np.random.default_rng(4))
+        assert got == want
+    # a bin below 0 would count into the previous row of the shared bincount
+    below = lambda obs, n, rng: np.full(n, -1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        metrics.cic(below, sampler, metrics.CicConfig(n_bins=3), 3, 1.0, np.random.default_rng(4))
+
+
 def ref_evaluate_schedule(efforts, s_eq, growth_rate, price, cost):
     horizon = len(efforts)
     stocks = np.zeros(horizon + 1)
@@ -249,14 +327,11 @@ def ref_sweep(params, horizon, max_iter=10_000, price=None, cost=None):
 
     efforts = np.full(horizon, e_total)
     lambdas = np.zeros(horizon + 1)
-    best_obj, best_efforts = -np.inf, efforts.copy()
     converged = False
     iterations = 0
     for iteration in range(1, max_iter + 1):
         iterations = iteration
         objective, stocks = ref_evaluate_schedule(efforts, s_eq, r, prices, costs)
-        if objective > best_obj:
-            best_obj, best_efforts = objective, efforts.copy()
 
         lam_new = np.zeros(horizon + 1)
         for k in range(horizon - 1, -1, -1):
@@ -287,12 +362,12 @@ def ref_sweep(params, horizon, max_iter=10_000, price=None, cost=None):
             converged = True
             break
 
-    final_efforts = efforts if converged else best_efforts
-    objective, stocks = ref_evaluate_schedule(final_efforts, s_eq, r, prices, costs)
+    # every adopted flip gains, so the last adopted schedule is the best
+    objective, stocks = ref_evaluate_schedule(efforts, s_eq, r, prices, costs)
     lambdas[horizon] = 0.0
     return control.AdjointSchedule(
         lambdas=lambdas,
-        efforts=final_efforts,
+        efforts=efforts,
         post_harvest_stock=stocks,
         objective=objective,
         converged=converged,
@@ -340,14 +415,35 @@ def test_sweep_is_bitwise_the_reference_by_horizon(params):
 def test_sweep_is_bitwise_the_reference_on_random_problems(one_row_blocks, monkeypatch):
     if one_row_blocks:
         monkeypatch.setattr(control, "PROPOSAL_BLOCK_FLOATS", 1)
-    # The converged problems settle within 70 iterations. About 1 in 12 never
-    # does: its adjoints grow past 1e16, where the damped blend stops one ulp
-    # short and the change never falls below the absolute tolerance. 300
-    # iterations cover both paths without running those to 10,000.
+    # The reference settles within 70 iterations on all but about 1 in 12
+    # problems. On those its adjoints grow past 1e13, where the damped blend
+    # stops one ulp short and the change never falls below the absolute
+    # tolerance; the library settles there once the blend stops moving, on
+    # the schedule the reference reaches in 300 iterations.
+    unsettled = 0
     for seed in range(120):
         params, horizon, price, cost = random_control_problem(seed)
         got = control.forward_backward_sweep(params, horizon, 300, price, cost)
-        assert_same_schedule(got, ref_sweep(params, horizon, 300, price, cost))
+        want = ref_sweep(params, horizon, 300, price, cost)
+        if want.converged:
+            assert_same_schedule(got, want)
+        else:
+            unsettled += 1
+            assert got.converged and got.iterations < 300
+            assert np.array_equal(got.efforts, want.efforts)
+            assert got.objective == want.objective
+    assert 0 < unsettled < 12
+
+
+def test_huge_adjoints_settle_when_the_blend_stops_moving():
+    # adjoints near 1e17 stall one ulp apart, so the absolute tolerance alone
+    # never fires and the sweep ran to max_iter
+    params, horizon, price, cost = random_control_problem(17)
+    assert (params.n_agents, horizon) == (4, 30)
+    assert (round(params.s_eq, 2), round(params.growth_rate, 2)) == (0.73, 1.58)
+    sweep = control.forward_backward_sweep(params, horizon, 300, price, cost)
+    assert np.max(np.abs(sweep.lambdas)) > 1e16
+    assert sweep.converged and sweep.iterations < 300
 
 
 @pytest.mark.parametrize("max_iter", [0, 1, 2, 3, 5])
