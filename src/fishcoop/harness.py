@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytics, env, learner, metrics, signals
-from .learner import PpoAgent, PpoHyper, Trajectory, save_checkpoint
+from .learner import PpoAgent, PpoHyper, save_checkpoint
 
 MANIFEST_VERSION = 1
 EXTRAPOLATED = "extrapolated"
@@ -101,8 +101,7 @@ def _spawn_streams(seed: int, n_agents: int):
 
 def _observations(state: env.EnvState, signal_vec: np.ndarray) -> np.ndarray:
     """The step's (N, 2 + G) observations: row n is agent n's
-    [last effort, last reward, signal]. A new array every step: trajectories
-    keep its rows."""
+    [last effort, last reward, signal]."""
     obs = np.empty((len(state.last_efforts), 2 + len(signal_vec)))
     obs[:, 0] = state.last_efforts
     obs[:, 1] = state.last_rewards
@@ -116,8 +115,7 @@ def run_episode(
     signal_cardinality: int,
     rng: np.random.Generator,
     episode_index: int = 0,
-    trajectories: list[Trajectory] | None = None,
-    step_hook=None,
+    rollout: learner.Rollout | None = None,
 ):
     """Play one episode with all agents acting synchronously each step.
 
@@ -125,11 +123,10 @@ def run_episode(
     the start of the episode; their parameters are its rows from then on.
 
     Returns (EpisodeRecord, actions array of shape (steps, N), signal index
-    per step). When ``trajectories`` is given, per-agent transitions are
-    appended to it; ``step_hook(state, outcome, source)`` runs after every
-    environment step (the training loop uses it for update cadence). A hook
-    may change agents' parameters in place, as ``PpoAgent.update`` does, and
-    the next step acts on them; it must not rebind them (``stack_params``).
+    per step). Each step is appended to ``rollout`` when it is given; each
+    time it fills, every agent updates in place on its row, bootstrapping
+    from the next step's values (zero at the episode's end), and it is
+    emptied. The next step acts on the updated parameters.
     """
     if len(agents) != params.n_agents:
         raise ValueError(f"need {params.n_agents} agents, got {len(agents)}")
@@ -151,19 +148,17 @@ def run_episode(
 
     while True:
         obs = _observations(state, signals.one_hot(state.t, source))
-        efforts, (raws, log_probs, values, means) = learner.act(policy, obs, rngs, params.e_max)
+        efforts, draws = learner.act(policy, obs, rngs, params.e_max)
         state, outcome = env.step(state, efforts, params)
         returns += outcome.rewards
         actions_log.append(efforts)
         signal_log.append(signals.hot_index(state.t - 1, source))
-        if trajectories is not None:
-            for n, traj in enumerate(trajectories):
-                traj.append(
-                    obs[n], raws[n], log_probs[n], values[n], means[n],
-                    float(outcome.rewards[n]), outcome.done,
-                )
-        if step_hook is not None:
-            step_hook(state, outcome, source)
+        if rollout is not None and rollout.append(obs, *draws, outcome.rewards, outcome.done):
+            next_obs = _observations(state, signals.one_hot(state.t, source))
+            _, values = learner.stacked_forward(policy, next_obs, params.e_max)
+            for n, agent in enumerate(agents):
+                agent.update(rollout, n, 0.0 if outcome.done else float(values[n]))
+            rollout.reset()
         if outcome.done:
             reason = outcome.done_reason
             break
@@ -226,24 +221,13 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
         PpoAgent(config.signal_cardinality, config.e_max, config.hyper, agent_rng)
         for agent_rng in agent_rngs
     ]
-    buffers = [Trajectory() for _ in agents]
-    total_steps = 0
+    # the trial never fills a buffer longer than its max_episodes * t_max steps
+    steps = min(config.hyper.steps_per_update, config.max_episodes * config.t_max + 1)
+    rollout = learner.Rollout(config.n_agents, config.signal_cardinality + 2, steps)
     start = time.perf_counter()
-
-    def step_hook(state, outcome, source):
-        nonlocal total_steps
-        total_steps += 1
-        if len(buffers[0]) < config.hyper.steps_per_update:
-            return
-        obs = _observations(state, signals.one_hot(state.t, source))
-        for n, agent in enumerate(agents):
-            _, (value,) = agent.forward(obs[n : n + 1])
-            agent.update(buffers[n], last_value=0.0 if outcome.done else float(value))
-            buffers[n] = Trajectory()
 
     history: list[metrics.EpisodeRecord] = []
     recent_actions: deque = deque(maxlen=RECENT_EPISODES)
-    profile = np.full((config.signal_cardinality, config.n_agents), np.nan)
     converged = False
     failed = False
     error = None
@@ -256,14 +240,10 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
                 config.signal_cardinality,
                 env_rng,
                 episode_index=episode,
-                trajectories=buffers,
-                step_hook=step_hook,
+                rollout=rollout,
             )
             history.append(record)
             recent_actions.append(actions)
-            profile = metrics.per_signal_effort_profile(
-                actions, signal_idx, config.signal_cardinality
-            )
             if metrics.convergence_check(history, config.t_max):
                 converged = True
                 break
@@ -287,6 +267,10 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
         for series in (lengths, sw, jain, gini):
             series += [float(np.mean(series[tail]))] * missing
         reasons += [EXTRAPOLATED] * missing
+
+    profile = np.full((config.signal_cardinality, config.n_agents), np.nan)
+    if history:  # ``actions`` and ``signal_idx`` hold the last completed episode's
+        profile = metrics.per_signal_effort_profile(actions, signal_idx, config.signal_cardinality)
 
     cic_mean = math.nan
     access = (0, 0, 0)
@@ -323,7 +307,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
         agents=None if failed else agents,
         failed=failed,
         error=error,
-        total_steps=total_steps,
+        total_steps=rollout.appended,
         wall_clock=time.perf_counter() - start,
     )
 

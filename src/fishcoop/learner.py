@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,7 @@ class UpdateDivergedError(RuntimeError):
 
 @dataclass
 class PpoHyper:
-    """PPO hyperparameters. The first seven match the training defaults the
+    """PPO hyperparameters. The first eight match the training defaults the
     experiments inherit; the last three are the update cadence knobs."""
 
     learning_rate: float = 1e-4
@@ -124,9 +124,6 @@ class PolicyParams:
             views, flat=flat, layer_sizes=layer_sizes, stacked_row=(None, None)
         )
         return params
-
-    def to_flat(self) -> np.ndarray:
-        return self.flat.copy()
 
 
 def stack_params(agents: list["PpoAgent"]) -> PolicyParams:
@@ -264,29 +261,46 @@ def gae_advantages(
     return advantages, advantages + values
 
 
-@dataclass
-class Trajectory:
-    """One agent's rollout: one (obs, raw, log_prob, value, mean, reward,
-    done) tuple per step, in step order."""
+class Rollout:
+    """The population's steps since the last update, S at most: agent n's
+    batch is row n of ``obs`` (N, S, obs_dim) and of the (N, S) ``raws``,
+    ``log_probs``, ``values``, ``means`` and ``rewards``, and all share
+    ``dones`` (S,). ``appended`` counts every step appended."""
 
-    steps: list = field(default_factory=list)
-
-    def append(self, obs, raw, log_prob, value, mean, reward, done):
-        self.steps.append((obs, raw, log_prob, value, mean, reward, done))
+    def __init__(self, n_agents: int, obs_dim: int, steps: int):
+        self.obs = np.empty((n_agents, steps, obs_dim))
+        self.columns = np.empty((5, n_agents, steps))
+        self.raws, self.log_probs, self.values, self.means, self.rewards = self.columns
+        self.dones = np.empty(steps, dtype=bool)
+        self.size = self.appended = 0
 
     def __len__(self):
-        return len(self.steps)
+        return self.size
 
-    def to_batch(self, gamma: float, lam: float, std: float, last_value: float = 0.0) -> dict:
-        if not self.steps:
-            raise ValueError("empty batch: the trajectory holds no steps")
-        obs, raws, log_probs, values, means, rewards, dones = zip(*self.steps)
-        advantages, returns = gae_advantages(rewards, values, dones, gamma, lam, last_value)
+    def append(self, obs, raws, log_probs, values, means, rewards, done) -> bool:
+        """Store one step: (N, obs_dim) observations, N entries of each (N, S)
+        field and the done flag. Returns whether the buffer is now full."""
+        self.obs[:, self.size] = obs
+        self.columns[:, :, self.size] = raws, log_probs, values, means, rewards
+        self.dones[self.size] = done
+        self.size += 1
+        self.appended += 1
+        return self.size == len(self.dones)
+
+    def reset(self) -> None:
+        self.size = 0
+
+    def batch(self, n: int, gamma: float, lam: float, std: float, last_value: float = 0.0) -> dict:
+        """Agent n's PPO batch; its stored columns are views into the buffer."""
+        rows, dones = (n, slice(0, self.size)), self.dones[: self.size]
+        advantages, returns = gae_advantages(
+            self.rewards[rows], self.values[rows], dones, gamma, lam, last_value
+        )
         return {
-            "obs": np.asarray(obs, dtype=float),
-            "raw_actions": np.asarray(raws, dtype=float),
-            "old_log_probs": np.asarray(log_probs, dtype=float),
-            "old_means": np.asarray(means, dtype=float),
+            "obs": self.obs[rows],
+            "raw_actions": self.raws[rows],
+            "old_log_probs": self.log_probs[rows],
+            "old_means": self.means[rows],
             "old_std": float(std),
             "advantages": advantages,
             "returns": returns,
@@ -501,10 +515,10 @@ class PpoAgent:
         efforts, steps = act(policy, obs[None], [self.rng], self.e_max)
         return float(efforts[0]), tuple(float(column[0]) for column in steps)
 
-    def update(self, traj: Trajectory, last_value: float = 0.0) -> dict:
-        """One PPO update on ``traj``, written into ``params`` in place (never
-        rebound), so a stacked policy holding them acts on the result."""
-        batch = traj.to_batch(self.hyper.gamma, self.hyper.gae_lambda, self.std, last_value)
+    def update(self, rollout: Rollout, n: int, last_value: float = 0.0) -> dict:
+        """One PPO update on row ``n`` of ``rollout``, written into ``params`` in
+        place (never rebound), so a stacked policy holding them acts on it."""
+        batch = rollout.batch(n, self.hyper.gamma, self.hyper.gae_lambda, self.std, last_value)
         updated, self.adam, stats = ppo_update(
             self.params, batch, self.hyper, self.e_max, self.rng, self.adam
         )

@@ -146,7 +146,7 @@ def test_08_ppo_gradient_check():
                 rng.normal(0, 1, n),
             )
             _, grads, _ = learner.ppo_loss_and_grads(params, *batch, hyper, 1.0)
-            flat, analytic = params.to_flat(), grads.to_flat()
+            flat, analytic = params.flat.copy(), grads.flat.copy()
             h = 1e-5
             for i in range(len(flat)):
                 plus, minus = flat.copy(), flat.copy()

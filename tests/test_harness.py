@@ -6,7 +6,7 @@ import pytest
 
 from fishcoop import analytics, env, harness, learner, metrics, signals
 from fishcoop.env import DoneReason
-from fishcoop.learner import PpoAgent, PpoHyper, Trajectory
+from fishcoop.learner import PpoAgent, PpoHyper
 
 
 def no_update_hyper(**kw):
@@ -134,10 +134,11 @@ class TestRunEpisode:
 
 class TestStackedRollout:
     """run_episode acts through one stacked policy per step; a reference loop
-    with one ``agent.act(row)`` per agent must give the same bits."""
+    with one ``agent.act(row)`` per agent and one one-row bootstrap forward
+    per agent must give the same bits, updates included."""
 
     @staticmethod
-    def reference_episode(params, agents, g, rng, trajectories, step_hook):
+    def reference_episode(params, agents, g, rng, rollout):
         source = signals.SignalSource(g, signals.new_episode_offset(rng, g))
         state = env.reset(params)
         actions = []
@@ -147,70 +148,56 @@ class TestStackedRollout:
             efforts = np.array([effort for effort, _ in steps])
             state, outcome = env.step(state, efforts, params)
             actions.append(efforts)
-            for n, (_, draw) in enumerate(steps):
-                trajectories[n].append(
-                    obs[n], *draw, float(outcome.rewards[n]), outcome.done
-                )
-            step_hook(state, outcome, source)
+            draws = zip(*(draw for _, draw in steps))
+            if rollout.append(obs, *draws, outcome.rewards, outcome.done):
+                next_obs = harness._observations(state, signals.one_hot(state.t, source))
+                for n, agent in enumerate(agents):
+                    _, (value,) = agent.forward(next_obs[n : n + 1])
+                    agent.update(rollout, n, 0.0 if outcome.done else float(value))
+                rollout.reset()
             if outcome.done:
                 return np.array(actions), outcome.done_reason
 
     @staticmethod
-    def play(n, g, stacked, hook_result=None):
+    def play(n, g, stacked):
         # a lower std than at initialisation keeps the stock alive for some
-        # steps; it depletes before the horizon at these scarcities
+        # steps; updates every 7 steps land mid-episode, and the next step
+        # acts on them
         m_s = {1: 0.7, 3: 0.5}[n]
         params = tiny_config(n_agents=n, m_s=m_s, signal_cardinality=g, t_max=60).env_params()
+        hyper = PpoHyper(steps_per_update=7, epochs_per_update=2, minibatch_size=2)
         agents = [
-            PpoAgent(g, 1.0, no_update_hyper(), np.random.default_rng([7, i]), hidden=(8, 8))
+            PpoAgent(g, 1.0, hyper, np.random.default_rng([7, i]), hidden=(8, 8))
             for i in range(n)
         ]
         for agent in agents:
             agent.params.log_std = -1.0
-        trajectories = [Trajectory() for _ in agents]
-        hook_steps = []
-
-        def step_hook(state, outcome, source):
-            # after step 2 the last agent's mean head moves, in place: the
-            # next step acts on it whatever the hook returns
-            hook_steps.append(state.t)
-            if state.t == 2:
-                agents[-1].params.b_mean += 3.0
-            return hook_result
-
+        rollout = learner.Rollout(n, g + 2, 7)
         rng = np.random.default_rng(5)
         if stacked:
-            record, actions, _ = harness.run_episode(
-                params, agents, g, rng, trajectories=trajectories, step_hook=step_hook
-            )
+            record, actions, _ = harness.run_episode(params, agents, g, rng, rollout=rollout)
             reason = record.done_reason
         else:
-            actions, reason = TestStackedRollout.reference_episode(
-                params, agents, g, rng, trajectories, step_hook
-            )
-        return actions, reason, trajectories, agents, hook_steps
+            actions, reason = TestStackedRollout.reference_episode(params, agents, g, rng, rollout)
+        return actions, reason, rollout, agents
 
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("g", [1, 4])
     def test_matches_per_agent_acts(self, n, g):
-        ref_actions, ref_reason, ref_trajectories, ref_agents, ref_hook_steps = self.play(
-            n, g, stacked=False
-        )
-        for hook_result in (True, None):
-            actions, reason, trajectories, agents, hook_steps = self.play(
-                n, g, stacked=True, hook_result=hook_result
-            )
-            assert reason is ref_reason is DoneReason.DEPLETED
-            assert len(actions) > 2 and hook_steps == ref_hook_steps
-            assert actions.tobytes() == ref_actions.tobytes()
-            for traj, ref in zip(trajectories, ref_trajectories):
-                assert len(traj) == len(ref)
-                for (obs, *step), (ref_obs, *ref_step) in zip(traj.steps, ref.steps):
-                    assert obs.tobytes() == ref_obs.tobytes()
-                    assert np.array(step).tobytes() == np.array(ref_step).tobytes()
-            for agent, ref in zip(agents, ref_agents):
-                assert agent.rng.bit_generator.state == ref.rng.bit_generator.state
-                assert agent.params.flat.tobytes() == ref.params.flat.tobytes()
+        ref_actions, ref_reason, ref_rollout, ref_agents = self.play(n, g, stacked=False)
+        actions, reason, rollout, agents = self.play(n, g, stacked=True)
+        assert reason is ref_reason
+        assert len(actions) > 7 and rollout.appended == len(actions)
+        assert actions.tobytes() == ref_actions.tobytes()
+        t = len(rollout)
+        assert t == len(ref_rollout) > 0
+        assert rollout.obs[:, :t].tobytes() == ref_rollout.obs[:, :t].tobytes()
+        assert rollout.columns[..., :t].tobytes() == ref_rollout.columns[..., :t].tobytes()
+        assert rollout.dones[:t].tobytes() == ref_rollout.dones[:t].tobytes()
+        for agent, ref in zip(agents, ref_agents):
+            assert agent.rng.bit_generator.state == ref.rng.bit_generator.state
+            assert agent.params.flat.tobytes() == ref.params.flat.tobytes()
+
 
 
 class TestRunTrial:

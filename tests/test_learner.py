@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fishcoop import learner
-from fishcoop.learner import PolicyParams, PpoAgent, PpoHyper, Trajectory
+from fishcoop.learner import PolicyParams, PpoAgent, PpoHyper, Rollout
 
 
 def zero_params(obs_dim, hidden=(8, 8)):
@@ -200,8 +200,8 @@ class TestGradientCheck:
                 params, batch["obs"], batch["raw_actions"], batch["old_log_probs"],
                 batch["advantages"], batch["returns"], hyper, 1.0,
             )
-            flat = params.to_flat()
-            analytic = grads.to_flat()
+            flat = params.flat.copy()
+            analytic = grads.flat.copy()
             h = 1e-5
             for i in range(len(flat)):
                 plus, minus = flat.copy(), flat.copy()
@@ -228,24 +228,24 @@ class TestPpoUpdate:
         return PpoAgent(g, 1.0, hyper, np.random.default_rng(seed), hidden=hidden)
 
     def collect(self, agent, rng, steps=64, reward_fn=lambda effort: 0.0, bandit=False):
-        # bandit=True marks every step terminal, so each advantage reflects
-        # that step's own reward
-        traj = Trajectory()
+        # a one-agent rollout; bandit=True marks every step terminal, so each
+        # advantage reflects that step's own reward
+        rollout = Rollout(1, 4, steps)
         obs = np.array([0.0, 0.0, 1.0, 0.0])
         for t in range(steps):
-            effort, (raw, log_prob, value, mean) = agent.act(obs)
-            traj.append(
-                obs, raw, log_prob, value, mean, reward_fn(effort), bandit or t == steps - 1
+            effort, draw = agent.act(obs)
+            rollout.append(
+                obs[None], *([x] for x in draw), [reward_fn(effort)], bandit or t == steps - 1
             )
-        return traj
+        return rollout
 
     def test_zero_advantage_batch_freezes_policy_head(self):
         agent = self.make_agent(epochs_per_update=2, minibatch_size=32)
         rng = np.random.default_rng(1)
-        traj = self.collect(agent, rng)
-        batch = traj.to_batch(1.0, 1.0, agent.std)
-        batch["advantages"] = np.zeros(len(traj))
-        batch["returns"] = np.ones(len(traj))
+        rollout = self.collect(agent, rng)
+        batch = rollout.batch(0, 1.0, 1.0, agent.std)
+        batch["advantages"] = np.zeros(len(rollout))
+        batch["returns"] = np.ones(len(rollout))
         before = agent.params
         after, _, _ = learner.ppo_update(
             before, batch, agent.hyper, 1.0, np.random.default_rng(0)
@@ -263,10 +263,10 @@ class TestPpoUpdate:
                 learning_rate=1e-3, kl_target=1e9,
             )
             rng = np.random.default_rng(seed + 100)
-            traj = self.collect(agent, rng, steps=256, reward_fn=lambda e: 1.0 - e, bandit=True)
-            obs = traj.to_batch(1.0, 1.0, agent.std)["obs"]
+            rollout = self.collect(agent, rng, steps=256, reward_fn=lambda e: 1.0 - e, bandit=True)
+            obs = rollout.obs[0].copy()
             before_mean = learner._forward_batch(agent.params, obs, 1.0)[0].mean()
-            agent.update(traj)
+            agent.update(rollout, 0)
             after_mean = learner._forward_batch(agent.params, obs, 1.0)[0].mean()
             decreased += after_mean < before_mean
         assert decreased >= 4
@@ -274,8 +274,7 @@ class TestPpoUpdate:
     def test_ratio_identity_right_after_collection(self):
         agent = self.make_agent(seed=3)
         rng = np.random.default_rng(2)
-        traj = self.collect(agent, rng)
-        batch = traj.to_batch(0.99, 1.0, agent.std)
+        batch = self.collect(agent, rng).batch(0, 0.99, 1.0, agent.std)
         mean, _, _, _ = learner._forward_batch(agent.params, batch["obs"], 1.0)
         recomputed = learner.gaussian_log_prob(
             batch["raw_actions"], mean, np.exp(agent.params.log_std)
@@ -295,8 +294,7 @@ class TestPpoUpdate:
             epochs_per_update=50, minibatch_size=16, learning_rate=5e-2, kl_target=0.01
         )
         rng = np.random.default_rng(4)
-        traj = self.collect(agent, rng, steps=64, reward_fn=lambda e: e)
-        stats = agent.update(traj)
+        stats = agent.update(self.collect(agent, rng, steps=64, reward_fn=lambda e: e), 0)
         assert stats["epochs_run"] < 50
         assert stats["mean_kl"] > 1.5 * 0.01
 
@@ -326,9 +324,9 @@ class TestPpoUpdate:
 
     def test_empty_trajectory_rejected(self):
         agent = self.make_agent()
-        before = agent.params.to_flat()
+        before = agent.params.flat.copy()
         with pytest.raises(ValueError, match="empty batch"):
-            agent.update(Trajectory())
+            agent.update(Rollout(1, 4, 8), 0)
         assert np.array_equal(agent.params.flat, before)
 
     def test_parameters_stay_finite_over_many_updates(self):
@@ -346,10 +344,10 @@ class TestPpoUpdate:
     def test_updates_are_independent_across_agents(self):
         a = self.make_agent(seed=0)
         b = self.make_agent(seed=1)
-        before_b = b.params.to_flat().copy()
+        before_b = b.params.flat.copy()
         rng = np.random.default_rng(5)
-        a.update(self.collect(a, rng, reward_fn=lambda e: e))
-        assert np.array_equal(b.params.to_flat(), before_b)
+        a.update(self.collect(a, rng, reward_fn=lambda e: e), 0)
+        assert np.array_equal(b.params.flat, before_b)
 
 
 class TestAct:
@@ -396,7 +394,7 @@ class TestStackedPolicy:
 
     def test_fields_gain_an_agent_axis(self):
         agents = self.agents()
-        before = [agent.params.to_flat() for agent in agents]
+        before = [agent.params.flat.copy() for agent in agents]
         policy = learner.stack_params(agents)
         assert policy.flat.shape == (3, before[0].size)
         assert policy.w1.shape == (3, 8, 4) and policy.log_std.shape == (3,)
@@ -424,7 +422,7 @@ class TestStackedPolicy:
         agents = self.agents()
         learner.stack_params(agents)
         agents[1].params = PolicyParams.from_flat(
-            agents[1].params.to_flat(), agents[1].params.layer_sizes
+            agents[1].params.flat.copy(), agents[1].params.layer_sizes
         )
         first = agents[0].params
         restacked = learner.stack_params(agents)
@@ -434,13 +432,15 @@ class TestStackedPolicy:
     def test_agent_update_reaches_the_policy(self):
         agents, single = self.agents(), self.agents()
         policy = learner.stack_params(agents)
-        before = policy.to_flat()
+        before = policy.flat.copy()
         obs = np.column_stack((np.full(3, 0.4), np.full(3, 0.2), np.tile([1.0, 0.0], (3, 1))))
-        traj = Trajectory()
+        # a three-agent rollout: agent 0's row is the one both updates read
+        rollout = Rollout(3, 4, 16)
         for t in range(16):
-            traj.append(obs[0], 0.05 * t, -1.0, 0.0, 0.5, 1.0 - 0.05 * t, t == 15)
-        agents[0].update(traj)
-        single[0].update(traj)
+            step = np.repeat([[0.05 * t], [-1.0], [0.0], [0.5], [1.0 - 0.05 * t]], 3, axis=1)
+            rollout.append(obs, *step, t == 15)
+        agents[0].update(rollout, 0)
+        single[0].update(rollout, 0)
         assert policy.flat[0].tobytes() == single[0].params.flat.tobytes()
         assert policy.flat[0].tobytes() != before[0].tobytes()
         assert policy.flat[1:].tobytes() == before[1:].tobytes()
@@ -486,7 +486,7 @@ class TestCheckpoint:
         assert len(loaded) == 4
         for orig, back in zip(agents, loaded):
             assert back.g == 3
-            assert np.array_equal(orig.params.to_flat(), back.params.to_flat())
+            assert np.array_equal(orig.params.flat, back.params.flat)
 
     @pytest.mark.parametrize("e_max", [1.0, 0.25, 3.0])
     def test_round_trip_keeps_the_effort_range(self, tmp_path, e_max):

@@ -5,8 +5,10 @@ The reference functions below are the earlier, straightforward forms of
 ``ppo_update`` (fresh temporaries, ``np.outer``, a fresh gradient buffer per
 minibatch, fancy-indexed minibatches), of ``act``'s per-agent
 log-probability, of ``metrics.cic`` (one forward and one ``rng.normal``
-call per state and signal, a Python loop for the mutual information), and
-of ``control``'s scalar ``evaluate_schedule`` and ``forward_backward_sweep``
+call per state and signal, a Python loop for the mutual information), of
+the training loop (one ``Trajectory`` of step tuples per agent, updated by a
+step hook with one one-row bootstrap forward per agent), and of
+``control``'s scalar ``evaluate_schedule`` and ``forward_backward_sweep``
 (one O(T) pass per flip proposal). The library versions compute the same
 float operations in the same order, so every result must be bitwise equal,
 not merely close. The sweep reference keeps the old absolute adjoint
@@ -18,7 +20,7 @@ import math
 import numpy as np
 import pytest
 
-from fishcoop import analytics, control, env, learner, metrics, signals
+from fishcoop import analytics, control, env, harness, learner, metrics, signals
 from fishcoop.learner import LOG_2PI, PolicyParams, PpoAgent, PpoHyper
 
 
@@ -223,6 +225,110 @@ def test_act_log_probs_match_the_per_agent_formula():
         ):
             assert log_prob == ref_gaussian_log_prob(raw, mean, std)
             assert effort == min(max(raw, 0.0), 1.0)
+
+
+class RefTrajectory:
+    """The former ``learner.Trajectory``: one agent's (obs, raw, log_prob,
+    value, mean, reward, done) tuples, unzipped into a batch."""
+
+    def __init__(self):
+        self.steps = []
+
+    def append(self, *step):
+        self.steps.append(step)
+
+    def to_batch(self, gamma, lam, std, last_value=0.0):
+        obs, raws, log_probs, values, means, rewards, dones = zip(*self.steps)
+        advantages, returns = learner.gae_advantages(
+            rewards, values, dones, gamma, lam, last_value
+        )
+        return {
+            "obs": np.asarray(obs, dtype=float),
+            "raw_actions": np.asarray(raws, dtype=float),
+            "old_log_probs": np.asarray(log_probs, dtype=float),
+            "old_means": np.asarray(means, dtype=float),
+            "old_std": float(std),
+            "advantages": advantages,
+            "returns": returns,
+        }
+
+
+def ref_training_episode(params, agents, g, rng, buffers):
+    """The former ``run_episode`` loop with one trajectory per agent, and the
+    former ``run_trial`` step hook: the update cadence, one one-row bootstrap
+    forward per agent and the former ``PpoAgent.update``."""
+    source = signals.SignalSource(g, signals.new_episode_offset(rng, g))
+    state = env.reset(params)
+    policy = learner.stack_params(agents)
+    rngs = [agent.rng for agent in agents]
+    actions = []
+    while True:
+        obs = harness._observations(state, signals.one_hot(state.t, source))
+        efforts, (raws, log_probs, values, means) = learner.act(policy, obs, rngs, params.e_max)
+        state, outcome = env.step(state, efforts, params)
+        actions.append(efforts)
+        for n, traj in enumerate(buffers):
+            traj.append(
+                obs[n], raws[n], log_probs[n], values[n], means[n],
+                float(outcome.rewards[n]), outcome.done,
+            )
+        if len(buffers[0].steps) >= agents[0].hyper.steps_per_update:
+            obs = harness._observations(state, signals.one_hot(state.t, source))
+            for n, agent in enumerate(agents):
+                _, (value,) = agent.forward(obs[n : n + 1])
+                batch = buffers[n].to_batch(
+                    agent.hyper.gamma, agent.hyper.gae_lambda, agent.std,
+                    0.0 if outcome.done else float(value),
+                )
+                updated, agent.adam, _ = learner.ppo_update(
+                    agent.params, batch, agent.hyper, agent.e_max, agent.rng, agent.adam
+                )
+                agent.params.flat[...] = updated.flat
+                buffers[n] = RefTrajectory()
+        if outcome.done:
+            return np.array(actions)
+
+
+@pytest.mark.parametrize("n_agents", [1, 3])
+@pytest.mark.parametrize("g", [1, 4])
+def test_training_is_bitwise_the_trajectory_reference(n_agents, g):
+    # an update every 7 steps: some land mid-episode, some at an episode's end
+    hyper = PpoHyper(learning_rate=1e-3, steps_per_update=7, epochs_per_update=3,
+                     minibatch_size=3, kl_target=0.05)
+    params = env.EnvParams(
+        n_agents=n_agents, s_eq=analytics.seq_from_multiplier(0.8, n_agents, 1.0, 1.0),
+        max_steps=10,
+    )
+
+    def population():
+        agents = [PpoAgent(g, 1.0, hyper, np.random.default_rng([g, i]), hidden=(8, 8))
+                  for i in range(n_agents)]
+        for agent in agents:
+            agent.params.log_std = -1.0
+        return agents
+
+    agents, ref_agents = population(), population()
+    rollout, buffers = learner.Rollout(n_agents, g + 2, 7), [RefTrajectory() for _ in agents]
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    episode_ends = [0]
+    for _ in range(8):
+        _, actions, _ = harness.run_episode(params, agents, g, rng, rollout=rollout)
+        ref_actions = ref_training_episode(params, ref_agents, g, ref_rng, buffers)
+        assert actions.tobytes() == ref_actions.tobytes()
+        episode_ends.append(episode_ends[-1] + len(actions))
+        t = len(rollout)
+        assert t == len(buffers[0].steps) == episode_ends[-1] % 7
+        for n, traj in enumerate(buffers):
+            if t:
+                obs, *columns, dones = (np.array(field) for field in zip(*traj.steps))
+                assert rollout.obs[n, :t].tobytes() == obs.tobytes()
+                assert rollout.columns[:, n, :t].tobytes() == np.array(columns).tobytes()
+                assert rollout.dones[:t].tobytes() == dones.tobytes()
+        for agent, ref in zip(agents, ref_agents):
+            assert agent.rng.bit_generator.state == ref.rng.bit_generator.state
+            assert agent.params.flat.tobytes() == ref.params.flat.tobytes()
+    updates = range(7, episode_ends[-1] + 1, 7)
+    assert {u in episode_ends for u in updates} == {True, False}
 
 
 def ref_sample_efforts(agent):
