@@ -98,17 +98,15 @@ def max_effort_baseline(params: env.EnvParams, horizon: int) -> BaselineResult:
     stocks = [state.stock]
     welfare = 0.0
     reason = env.DoneReason.RUNNING
-    steps = 0
     for _ in range(horizon):
         state, outcome = env.step(state, efforts, params)
         welfare += float(outcome.rewards.sum())
         stocks.append(state.stock)
-        steps += 1
         if outcome.done:
             reason = outcome.done_reason
             break
     return BaselineResult(
-        length=steps, social_welfare=welfare, stocks=np.array(stocks), done_reason=reason
+        length=len(stocks) - 1, social_welfare=welfare, stocks=np.array(stocks), done_reason=reason
     )
 
 

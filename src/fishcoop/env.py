@@ -15,14 +15,13 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import lambertw
 
 # Stability interval for the growth rate: inside it, an unharvested stock
 # started at or below 2*s_eq never exceeds 2*s_eq. The Ricker map peaks at
 # 2*s_eq exactly when e^r = 2 e r, whose roots are -W(-1/(2e)) on Lambert W's
-# branches 0 and -1: about 0.231961 and 2.678347.
-GROWTH_RATE_MIN = float(-lambertw(-1.0 / (2.0 * math.e), 0).real)
-GROWTH_RATE_MAX = float(-lambertw(-1.0 / (2.0 * math.e), -1).real)
+# branches 0 and -1, as scipy.special.lambertw gives them.
+GROWTH_RATE_MIN = 0.23196095298653444
+GROWTH_RATE_MAX = 2.6783469900166605
 
 
 class DoneReason(str, Enum):

@@ -154,8 +154,9 @@ def run_episode(
         actions_log.append(efforts)
         signal_log.append(signals.hot_index(state.t - 1, source))
         if rollout is not None and rollout.append(obs, *draws, outcome.rewards, outcome.done):
-            next_obs = _observations(state, signals.one_hot(state.t, source))
-            _, values = learner.stacked_forward(policy, next_obs, params.e_max)
+            if not outcome.done:  # an episode's end bootstraps from zero, with no forward
+                next_obs = _observations(state, signals.one_hot(state.t, source))
+                _, values = learner.stacked_forward(policy, next_obs, params.e_max)
             for n, agent in enumerate(agents):
                 agent.update(rollout, n, 0.0 if outcome.done else float(values[n]))
             rollout.reset()
@@ -228,6 +229,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
 
     history: list[metrics.EpisodeRecord] = []
     recent_actions: deque = deque(maxlen=RECENT_EPISODES)
+    recent_signals: deque = deque(maxlen=RECENT_EPISODES)
     converged = False
     failed = False
     error = None
@@ -244,6 +246,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
             )
             history.append(record)
             recent_actions.append(actions)
+            recent_signals.append(signal_idx)
             if metrics.convergence_check(history, config.t_max):
                 converged = True
                 break
@@ -269,8 +272,9 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
         reasons += [EXTRAPOLATED] * missing
 
     profile = np.full((config.signal_cardinality, config.n_agents), np.nan)
-    if history:  # ``actions`` and ``signal_idx`` hold the last completed episode's
-        profile = metrics.per_signal_effort_profile(actions, signal_idx, config.signal_cardinality)
+    if history:  # over the last RECENT_EPISODES completed episodes
+        recent, recent_idx = np.concatenate(recent_actions), np.concatenate(recent_signals)
+        profile = metrics.per_signal_effort_profile(recent, recent_idx, config.signal_cardinality)
 
     cic_mean = math.nan
     access = (0, 0, 0)
@@ -287,8 +291,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
             for agent in agents
         ]
         cic_mean = float(np.mean(cic_values))
-        mean_efforts = np.concatenate(list(recent_actions)).mean(axis=0)
-        access = metrics.access_bins(mean_efforts, config.e_max)
+        access = metrics.access_bins(recent.mean(axis=0), config.e_max)
 
     return TrialResult(
         trial=trial_index,

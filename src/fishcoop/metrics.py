@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .env import DoneReason
 
@@ -203,6 +202,7 @@ def student_t_test(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
             return 0.0, 1.0
         return math.copysign(math.inf, mean_gap), 0.0
     t = mean_gap / math.sqrt(pooled_var * (1.0 / na + 1.0 / nb))
+    from scipy.special import betainc  # loaded here only: it doubles the package's import time
     p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
     return t, p
 

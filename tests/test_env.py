@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,36 @@ from fishcoop import analytics, env
 
 def params(n=2, s_eq=10.0, r=1.0, e_max=1.0, **kw):
     return env.EnvParams(n_agents=n, s_eq=s_eq, growth_rate=r, e_max=e_max, **kw)
+
+
+class TestGrowthRateConstants:
+    def test_equal_lambert_w_bit_for_bit(self):
+        from scipy.special import lambertw
+
+        z = -1.0 / (2.0 * math.e)
+        assert env.GROWTH_RATE_MIN == float(-lambertw(z, 0).real)
+        assert env.GROWTH_RATE_MAX == float(-lambertw(z, -1).real)
+
+    def test_rejects_one_ulp_outside(self):
+        # each bound itself is accepted: test_params_accept_the_whole_stable_interval
+        for r in (
+            math.nextafter(env.GROWTH_RATE_MIN, 0.0),
+            math.nextafter(env.GROWTH_RATE_MAX, math.inf),
+        ):
+            with pytest.raises(ValueError, match="outside stable interval"):
+                params(r=r)
+
+    def test_import_loads_no_scipy(self):
+        # SciPy is loaded only for summary.csv's t-test p-values
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import fishcoop, fishcoop.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestCatchability:

@@ -120,6 +120,24 @@ class TestRunEpisode:
                 np.random.default_rng(0),
             )
 
+    @pytest.mark.parametrize("t_max, bootstraps", [(9, 2), (10, 3)])
+    def test_bootstrap_forward_only_mid_episode(self, monkeypatch, t_max, bootstraps):
+        # updates every 3 steps; one on the episode's last step bootstraps
+        # from zero and makes no forward, so only act's one per step remains
+        hyper = PpoHyper(steps_per_update=3, epochs_per_update=1, minibatch_size=3)
+        config = tiny_config(m_s=1.1, t_max=t_max, hyper=hyper)
+        agents = make_agents(config, log_std=-1.0)
+        forward = learner.stacked_forward
+        calls = []
+        monkeypatch.setattr(learner, "stacked_forward", lambda *a: calls.append(1) or forward(*a))
+        record, _, _ = harness.run_episode(
+            config.env_params(), agents, config.signal_cardinality,
+            np.random.default_rng(0),
+            rollout=learner.Rollout(config.n_agents, config.signal_cardinality + 2, 3),
+        )
+        assert record.length == t_max
+        assert len(calls) == t_max + bootstraps
+
     def test_welfare_equals_sum_of_returns(self):
         config = tiny_config()
         agents = make_agents(config)
@@ -218,6 +236,7 @@ class TestRunTrial:
         assert result.episodes_run == 0
         assert len(result.lengths) == 0
         assert not result.failed
+        assert result.profile.shape == (2, 2) and np.isnan(result.profile).all()
 
     def test_deterministic(self):
         config = tiny_config()
@@ -288,6 +307,27 @@ class TestRunTrial:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         errors = [cell["trial_errors"] for cell in manifest["cells"]]
         assert errors == [[None], [signalled.error]]
+
+    def test_profile_spans_the_recent_episodes(self, monkeypatch):
+        episodes = []
+        play = harness.run_episode
+
+        def recorded(*args, **kw):
+            record, actions, signal_idx = play(*args, **kw)
+            episodes.append((actions, signal_idx))
+            return record, actions, signal_idx
+
+        monkeypatch.setattr(harness, "run_episode", recorded)
+        config = tiny_config(max_episodes=12, trials=1)
+        result = harness.run_trial(config, 0)
+        assert result.episodes_run == len(episodes) == 12
+        recent = episodes[-harness.RECENT_EPISODES :]
+        expected = metrics.per_signal_effort_profile(
+            np.concatenate([a for a, _ in recent]),
+            np.concatenate([s for _, s in recent]),
+            config.signal_cardinality,
+        )
+        assert result.profile.tobytes() == expected.tobytes()
 
     def test_unconverged_ct_is_max_episodes(self):
         result = harness.run_trial(tiny_config(max_episodes=4), 0)
