@@ -18,7 +18,7 @@ of ``-1/(2e)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,30 +84,37 @@ def theory_limits(n: int, r: float, e_max: float) -> TheoryLimits:
 class BaselineResult:
     length: int
     social_welfare: float
-    stocks: np.ndarray  # stock before each executed step, plus the final stock
     done_reason: env.DoneReason
 
 
-def max_effort_baseline(params: env.EnvParams, horizon: int) -> BaselineResult:
-    """Simulate every agent at maximum effort until depletion or the horizon.
-
-    Social welfare is the summed revenue of all agents over the episode.
-    """
-    efforts = np.full(params.n_agents, params.e_max)
-    state = env.reset(params)
-    stocks = [state.stock]
-    welfare = 0.0
-    reason = env.DoneReason.RUNNING
-    for _ in range(horizon):
-        state, outcome = env.step(state, efforts, params)
-        welfare += float(outcome.rewards.sum())
-        stocks.append(state.stock)
-        if outcome.done:
-            reason = outcome.done_reason
+def max_effort_episodes(params: env.EnvParams, s_eqs, horizon: int) -> tuple[np.ndarray, ...]:
+    """All-max-effort episodes at each stock of the monotone grid ``s_eqs``, stepped
+    together through ``env.advance``: each row's length, social welfare and depleted
+    flag, bit for bit as ``env.step`` gives them. ``EnvParams`` checks the grid's ends."""
+    s_eqs = np.asarray(s_eqs, dtype=float)
+    for s_eq in (s_eqs[0], s_eqs[-1]):
+        replace(params, s_eq=float(s_eq))  # EnvParams' checks
+    total_effort = float(np.full(params.n_agents, params.e_max).sum())
+    rewards = np.empty((len(s_eqs), params.n_agents))  # a row sums as env.step's rewards do
+    stock, welfare, lengths = s_eqs, np.zeros(len(s_eqs)), np.zeros(len(s_eqs), dtype=int)
+    alive = np.ones(len(s_eqs), dtype=bool)
+    for _ in range(min(horizon, params.max_steps)):
+        harvest, stock = env.advance(stock, total_effort, s_eqs, params.growth_rate)
+        rewards[:] = (params.price * (params.e_max / total_effort * harvest) - params.cost)[:, None]
+        welfare += np.where(alive, rewards.sum(axis=-1), 0.0)
+        lengths += alive
+        alive &= ~(stock < params.depletion_threshold)
+        if not alive.any():
             break
-    return BaselineResult(
-        length=len(stocks) - 1, social_welfare=welfare, stocks=np.array(stocks), done_reason=reason
-    )
+    return lengths, welfare, ~alive
+
+
+def max_effort_baseline(params: env.EnvParams, horizon: int) -> BaselineResult:
+    """The one-row ``max_effort_episodes`` at ``params.s_eq``."""
+    columns = max_effort_episodes(params, [params.s_eq], horizon)
+    (length,), (welfare,), (depleted,) = (column.tolist() for column in columns)
+    reason = env.DoneReason.RUNNING if length < params.max_steps else env.DoneReason.HORIZON_REACHED
+    return BaselineResult(length, welfare, env.DoneReason.DEPLETED if depleted else reason)
 
 
 def empirical_lsh(
@@ -125,18 +132,11 @@ def empirical_lsh(
     s_grid = np.asarray(s_grid, dtype=float)
     if s_grid.size == 0:
         raise ValueError("s_grid must be nonempty")
-    if np.any(np.diff(s_grid) <= 0):
+    if not np.all(np.diff(s_grid) > 0):  # a NaN fails the comparison too
         raise ValueError("s_grid must be strictly ascending")
-    for s_eq in s_grid:
-        params = env.EnvParams(
-            n_agents=n,
-            s_eq=float(s_eq),
-            growth_rate=r,
-            e_max=e_max,
-            depletion_threshold=depletion_threshold,
-            max_steps=horizon,
-        )
-        result = max_effort_baseline(params, horizon)
-        if result.length == horizon and result.done_reason != env.DoneReason.DEPLETED:
-            return float(s_eq)
-    return None
+    params = env.EnvParams(
+        n_agents=n, s_eq=float(s_grid[0]), growth_rate=r, e_max=e_max,
+        depletion_threshold=depletion_threshold, max_steps=horizon,
+    )
+    survivors = s_grid[~max_effort_episodes(params, s_grid, horizon)[2]]
+    return float(survivors[0]) if survivors.size else None

@@ -165,22 +165,20 @@ def _cmd_baseline(args) -> int:
     counts = _agent_counts(args.agents)
     if not (np.isfinite(args.ms_step) and args.ms_step > 0):
         raise CliError(f"--ms-step must be finite and positive, got {args.ms_step:g}")
-    ms_grid = np.arange(args.ms_lo, args.ms_hi + 1e-12, args.ms_step)
-    if not len(ms_grid):
+    ms_grid = np.arange(args.ms_lo, args.ms_hi + 1e-12, args.ms_step).tolist()
+    if not ms_grid:
         raise CliError(f"--ms-lo {args.ms_lo:g} to --ms-hi {args.ms_hi:g} holds no m_s value")
     rows = []
     for n in counts:
-        block = []
-        for m_s in ms_grid.tolist():
-            s_eq = analytics.seq_from_multiplier(m_s, n, args.growth_rate, args.emax)
-            params = env.EnvParams(
-                n_agents=n, s_eq=s_eq, growth_rate=args.growth_rate, e_max=args.emax,
-                max_steps=args.tmax,
-            )
-            res = analytics.max_effort_baseline(params, args.tmax)
-            block.append([n, m_s, s_eq, res.length, res.social_welfare])
-        top = max(row[4] for row in block)
-        rows += [row + [row[4] / top if top else 0.0] for row in block]
+        s_eqs = [analytics.seq_from_multiplier(m, n, args.growth_rate, args.emax) for m in ms_grid]
+        params = env.EnvParams(
+            n_agents=n, s_eq=s_eqs[0], growth_rate=args.growth_rate, e_max=args.emax,
+            max_steps=args.tmax,
+        )
+        lengths, welfare, _ = analytics.max_effort_episodes(params, s_eqs, args.tmax)
+        top = welfare.max()
+        block = zip(ms_grid, s_eqs, lengths.tolist(), welfare.tolist())
+        rows += [[n, m, s, length, sw, sw / top if top else 0.0] for m, s, length, sw in block]
 
     header = ["n_agents", "m_s", "s_eq", "length", "social_welfare", "sw_normalized"]
     if args.out:
@@ -215,6 +213,17 @@ def _cmd_control(args) -> int:
         n_agents=args.agents, s_eq=s_eq, growth_rate=args.growth_rate, e_max=args.emax,
         price=args.price, cost=args.cost,
     )
+    if args.horizon < 1:
+        raise CliError(f"--horizon must be >= 1, got {args.horizon}")
+    e_total = params.n_agents * params.e_max
+    if e_total > 2.0 * s_eq:
+        # control's harvest q(F(w)) * N e_max is unclamped, and stays within
+        # the stock F(w) at every stock only while N e_max <= 2 s_eq
+        print(
+            f"no bang-bang objective: N*e_max = {e_total:g} exceeds 2*s_eq = {2.0 * s_eq:g}, "
+            "where the unclamped bang-bang model can harvest more than the stock"
+        )
+        return 0
     sweep = control.forward_backward_sweep(params, args.horizon)
     status = "converged" if sweep.converged else "NOT converged"
     print(f"sweep: objective={sweep.objective:.9g} ({status}, {sweep.iterations} iterations)")

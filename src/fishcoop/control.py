@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# catchability and spawner_recruit stay names of this module: the
-# benchmark's tracer (perfbench/tracing.py) counts calls through them here.
+# catchability and spawner_recruit stay names of this module only because
+# the benchmark's tracer (perfbench/tracing.py) wraps them here; control
+# steps through _stage and never calls them, so those counters read 0.
 from .env import EnvParams, catchability, spawner_recruit  # noqa: F401
 
 # Longest horizon brute_force_optimal searches: its arrays hold 2^T values.

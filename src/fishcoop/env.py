@@ -97,13 +97,6 @@ def catchability(stock: float, s_eq: float) -> float:
     return 1.0
 
 
-def total_harvest(total_effort: float, stock: float, s_eq: float) -> float:
-    """Total harvest H(E, s) = min(q(s) * E, s); never exceeds the stock."""
-    if total_effort < 0:
-        raise ValueError(f"total_effort must be nonnegative, got {total_effort}")
-    return min(catchability(stock, s_eq) * total_effort, stock)
-
-
 def spawner_recruit(x: float, s_eq: float, r: float) -> float:
     """Ricker growth map F(x) = x * exp(r * (1 - x / s_eq)).
 
@@ -114,6 +107,15 @@ def spawner_recruit(x: float, s_eq: float, r: float) -> float:
     if s_eq <= 0:
         raise ValueError(f"s_eq must be positive, got {s_eq}")
     return x * np.exp(r * (1.0 - x / s_eq))
+
+
+def advance(stock, total_effort, s_eq, r):
+    """One unchecked stage on floats or arrays: the harvest H = min(q(s) E, s)
+    and the next stock F(s - H), bit for bit as catchability and spawner_recruit."""
+    # min(ratio, 1) is catchability: s <= 2 s_eq iff the rounded ratio <= 1
+    harvest = np.minimum(np.minimum(stock / (2.0 * s_eq), 1.0) * total_effort, stock)
+    x = stock - harvest
+    return harvest, x * np.exp(r * (1.0 - x / s_eq))
 
 
 def reset(params: EnvParams) -> EnvState:
@@ -151,14 +153,13 @@ def step(
         raise ValueError(f"efforts must lie in [0, {params.e_max}]: {efforts}")
 
     total_effort = float(efforts.sum())
-    harvest = total_harvest(total_effort, state.stock, params.s_eq)
+    harvest, next_stock = advance(state.stock, total_effort, params.s_eq, params.growth_rate)
     if total_effort > 0:
         harvests = (efforts / total_effort) * harvest
     else:
         harvests = np.zeros(params.n_agents)
     rewards = params.price * harvests - params.cost
 
-    next_stock = spawner_recruit(state.stock - harvest, params.s_eq, params.growth_rate)
     t_next = state.t + 1
     if next_stock < params.depletion_threshold:
         done, reason = True, DoneReason.DEPLETED

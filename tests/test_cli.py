@@ -48,6 +48,19 @@ class TestControl:
         assert "brute force: objective=" in out
         assert "NOT optimal" not in out
 
+    def test_no_objective_where_the_fleet_outharvests_the_stock(self, capsys):
+        # the desk cell: N e_max = 4 > 2 s_eq = 3.16, where the unclamped
+        # bang-bang objective (2) exceeds the stock (1.58)
+        assert run_cli("control", "--agents", "4", "--ms", "0.5") == 0
+        out = capsys.readouterr().out
+        assert out.startswith("no bang-bang objective: N*e_max = 4 exceeds 2*s_eq = 3.16")
+        assert len(out.splitlines()) == 1
+        assert "objective=" not in out
+
+    def test_bad_horizon_exits_one(self, capsys):
+        assert run_cli("control", "--agents", "4", "--ms", "0.5", "--horizon", "0") == 1
+        assert "--horizon" in capsys.readouterr().err
+
     def test_ms_and_seq_are_exclusive(self, capsys):
         assert run_cli("control", "--ms", "0.5", "--seq", "1.0", "--horizon", "2") == 1
         assert "not allowed with" in capsys.readouterr().err

@@ -63,20 +63,21 @@ class TestCatchability:
             env.catchability(1.0, -1.0)
 
 
+def harvest(total_effort, stock, s_eq):
+    """env.advance's total harvest; the growth rate does not enter it."""
+    return env.advance(stock, total_effort, s_eq, 1.0)[0]
+
+
 class TestTotalHarvest:
     def test_no_effort(self):
-        assert env.total_harvest(0.0, 10.0, 10.0) == 0.0
+        assert harvest(0.0, 10.0, 10.0) == 0.0
 
     def test_proportional_branch(self):
         # q = 0.5, q * E = 1 <= stock
-        assert env.total_harvest(2.0, 10.0, 10.0) == pytest.approx(1.0)
+        assert harvest(2.0, 10.0, 10.0) == pytest.approx(1.0)
 
     def test_clamped_at_stock(self):
-        assert env.total_harvest(100.0, 10.0, 10.0) == 10.0
-
-    def test_negative_effort(self):
-        with pytest.raises(ValueError):
-            env.total_harvest(-1.0, 10.0, 10.0)
+        assert harvest(100.0, 10.0, 10.0) == 10.0
 
     @given(
         effort=st.floats(0, 1e3),
@@ -84,7 +85,7 @@ class TestTotalHarvest:
         s_eq=st.floats(0.01, 1e3),
     )
     def test_never_exceeds_stock(self, effort, stock, s_eq):
-        assert env.total_harvest(effort, stock, s_eq) <= stock
+        assert harvest(effort, stock, s_eq) <= stock
 
     @given(
         e1=st.floats(0, 100),
@@ -93,7 +94,38 @@ class TestTotalHarvest:
     )
     def test_monotone_in_effort(self, e1, e2, stock):
         lo, hi = sorted((e1, e2))
-        assert env.total_harvest(lo, stock, 5.0) <= env.total_harvest(hi, stock, 5.0)
+        assert harvest(lo, stock, 5.0) <= harvest(hi, stock, 5.0)
+
+
+class TestAdvance:
+    @staticmethod
+    def states(seed, size=2000):
+        rng = np.random.default_rng(seed)
+        s_eq = rng.uniform(0.01, 50.0, size)
+        r = rng.uniform(env.GROWTH_RATE_MIN, env.GROWTH_RATE_MAX, size)
+        # stocks up to 3 s_eq (saturated catchability) and efforts up to
+        # 4 s_eq (harvest clamped at the stock), with exact zeros and the kink
+        stock = s_eq * rng.uniform(0.0, 3.0, size)
+        stock[:20] = 0.0
+        stock[20:40] = 2.0 * s_eq[20:40]
+        effort = s_eq * rng.uniform(0.0, 4.0, size)
+        effort[40:60] = 0.0
+        return stock, effort, s_eq, r
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_scalar_references_bit_for_bit(self, seed):
+        stock, effort, s_eq, r = self.states(seed)
+        assert np.any(stock > 2.0 * s_eq)
+        assert np.any(np.minimum(stock / (2.0 * s_eq), 1.0) * effort > stock)
+        got_h, got_s = env.advance(stock, effort, s_eq, r)
+        for i in range(len(stock)):
+            want_h = min(env.catchability(stock[i], s_eq[i]) * effort[i], stock[i])
+            want_s = env.spawner_recruit(stock[i] - want_h, s_eq[i], r[i])
+            assert got_h[i] == want_h, i
+            assert got_s[i] == want_s, i
+            # a float call is the same stage
+            h, s = env.advance(float(stock[i]), float(effort[i]), float(s_eq[i]), float(r[i]))
+            assert (h, s) == (want_h, want_s), i
 
 
 class TestSpawnerRecruit:
@@ -216,7 +248,7 @@ class TestStep:
         state = env.EnvState(stock=stock, t=0, last_efforts=np.zeros(n),
                              last_rewards=np.zeros(n))
         _, out = env.step(state, efforts, p)
-        total = env.total_harvest(float(efforts.sum()), stock, 10.0)
+        total = harvest(float(efforts.sum()), stock, 10.0)
         assert out.harvests.sum() == pytest.approx(total, rel=1e-12, abs=1e-300)
         assert out.rewards.sum() == pytest.approx(p.price * total - n * p.cost, rel=1e-12, abs=1e-12)
 
