@@ -183,11 +183,66 @@ def convergence_check(history: list[EpisodeRecord], t_max: int, sw_tol: float = 
     return spread / abs(window_mean) <= sw_tol
 
 
+BETA_CF_MAX_ITER = 10_000
+BETA_CF_EPS = math.ulp(1.0)  # float64 machine epsilon
+_BETA_CF_TINY = 1e-300  # keeps the Lentz denominators away from zero
+
+
+def _beta_continued_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of I_x(a, b), by the modified Lentz method."""
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _BETA_CF_TINY else _BETA_CF_TINY)
+    h = d
+    for m in range(1, BETA_CF_MAX_ITER + 1):
+        m2 = 2 * m
+        for aa in (
+            m * (b - m) * x / ((a - 1.0 + m2) * (a + m2)),
+            -(a + m) * (a + b + m) * x / ((a + m2) * (a + 1.0 + m2)),
+        ):
+            d = 1.0 + aa * d
+            d = 1.0 / (d if abs(d) > _BETA_CF_TINY else _BETA_CF_TINY)
+            c = 1.0 + aa / c
+            c = c if abs(c) > _BETA_CF_TINY else _BETA_CF_TINY
+            h *= d * c
+        if abs(d * c - 1.0) <= BETA_CF_EPS:
+            return h
+    raise ArithmeticError(
+        f"incomplete beta continued fraction did not converge: a={a}, b={b}, x={x}"
+    )
+
+
+def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
+    """I_x(a, b) for a, b > 0: NaN for a NaN x, 0.0 at x <= 0, 1.0 at x >= 1.
+
+    Continued fraction by the modified Lentz method, taken for I_{1-x}(b, a)
+    past x = (a+1)/(a+b+2), where it converges faster (Press et al.,
+    Numerical Recipes, 3rd ed., section 6.4).
+    """
+    if not (a > 0.0 and b > 0.0):
+        raise ValueError(f"a and b must be positive, got a={a}, b={b}")
+    if math.isnan(x):
+        return math.nan
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    prefactor = math.exp(
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        + a * math.log(x) + b * math.log1p(-x)
+    )
+    if x < (a + 1.0) / (a + b + 2.0):
+        return prefactor * _beta_continued_fraction(a, b, x) / a
+    return 1.0 - prefactor * _beta_continued_fraction(b, a, 1.0 - x) / b
+
+
 def student_t_test(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """Equal-variance two-sample t statistic and two-sided p-value.
 
     The p-value comes from the Student-t CDF via the regularized incomplete
-    beta identity p = I_{df/(df+t^2)}(df/2, 1/2).
+    beta identity p = I_{df/(df+t^2)}(df/2, 1/2), evaluated by
+    ``regularized_incomplete_beta`` (a Lentz continued fraction). A sample
+    holding NaN gives a NaN statistic and p-value.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -202,8 +257,7 @@ def student_t_test(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
             return 0.0, 1.0
         return math.copysign(math.inf, mean_gap), 0.0
     t = mean_gap / math.sqrt(pooled_var * (1.0 / na + 1.0 / nb))
-    from scipy.special import betainc  # loaded here only: it doubles the package's import time
-    p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
+    p = regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
     return t, p
 
 

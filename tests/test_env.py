@@ -1,3 +1,4 @@
+import csv
 import math
 import subprocess
 import sys
@@ -33,7 +34,7 @@ class TestGrowthRateConstants:
                 params(r=r)
 
     def test_import_loads_no_scipy(self):
-        # SciPy is loaded only for summary.csv's t-test p-values
+        # the package runs on NumPy alone
         src = str(Path(__file__).resolve().parents[1] / "src")
         code = (
             f"import sys; sys.path.insert(0, {src!r}); import fishcoop, fishcoop.cli; "
@@ -43,6 +44,28 @@ class TestGrowthRateConstants:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]"
+
+    def test_run_and_replay_load_no_scipy(self, tmp_path):
+        # summary.csv's p-values come from metrics.regularized_incomplete_beta
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        first, second = tmp_path / "first", tmp_path / "second"
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); from fishcoop import cli; "
+            f"assert cli.main(['run', '--agents', '2', '--ms', '0.8', '--signal', '1,4', "
+            f"'--trials', '2', '--seed', '3', '--episodes', '4', '--tmax', '10', "
+            f"'--out', {str(first)!r}]) == 0; "
+            f"assert cli.main(['replay', '--manifest', {str(first / 'manifest.json')!r}, "
+            f"'--out', {str(second)!r}]) == 0; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip().splitlines()[-1] == "[]"
+        for run_dir in (first, second):
+            with open(run_dir / "summary.csv", newline="") as f:
+                rows = {row["cell"]: row for row in csv.DictReader(f)}
+            assert 0.0 < float(rows["n2_g4_ms0.8"]["sw_p_value"]) < 1.0
 
 
 class TestCatchability:

@@ -1,7 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
@@ -231,6 +233,47 @@ class TestStudentT:
     def test_too_small_sample(self):
         with pytest.raises(ValueError):
             metrics.student_t_test([1.0], [1.0, 2.0])
+
+    def test_nan_sample_gives_nan(self):
+        t, p = metrics.student_t_test([1.0, math.nan, 3.0], [1.0, 2.0, 4.0])
+        assert math.isnan(t) and math.isnan(p)
+
+
+class TestIncompleteBeta:
+    def test_matches_scipy_betainc(self):
+        rng = np.random.default_rng(32)
+        a_values = [0.5, 1.0, 2.0, 7.0, 50.0, 100.0, *rng.uniform(0.5, 100.0, 6)]
+        for a in a_values:
+            for b in (0.5, 1.0, 3.7):
+                switch = (a + 1.0) / (a + b + 2.0)
+                xs = [
+                    1e-12, *rng.uniform(0.0, 1e-12, 3),
+                    1.0 - 1e-12, *(1.0 - rng.uniform(0.0, 1e-12, 3)),
+                    math.nextafter(switch, 0.0), switch,  # both sides of the symmetry switch
+                    *rng.uniform(0.0, 1.0, 8),
+                ]
+                for x in map(float, xs):
+                    if a == b == 0.5 and x > 0.5:
+                        # SciPy's arcsine form loses up to ~7e-11 within 1e-12 of
+                        # x = 1; the complement of the closed form is exact there
+                        ref = 1.0 - 2.0 / math.pi * math.asin(math.sqrt(1.0 - x))
+                    else:
+                        ref = float(scipy.special.betainc(a, b, x))
+                    # SciPy flushes subnormal results to zero: below the smallest
+                    # normal float the comparison is absolute
+                    assert metrics.regularized_incomplete_beta(a, b, x) == pytest.approx(
+                        ref, rel=1e-11, abs=sys.float_info.min
+                    ), (a, b, x)
+
+    def test_edges(self):
+        assert math.isnan(metrics.regularized_incomplete_beta(2.0, 0.5, math.nan))
+        for x in (-1.0, -0.0, 0.0):
+            assert metrics.regularized_incomplete_beta(2.0, 0.5, x) == 0.0
+        for x in (1.0, 2.0, math.inf):
+            assert metrics.regularized_incomplete_beta(2.0, 0.5, x) == 1.0
+        for a, b in ((0.0, 0.5), (2.0, -1.0), (math.nan, 0.5)):
+            with pytest.raises(ValueError):
+                metrics.regularized_incomplete_beta(a, b, 0.5)
 
 
 class TestRelativeDifference:
